@@ -60,7 +60,6 @@ from .qubo import (
     solve_exhaustive,
 )
 from .reductions import (
-    REDUCTION_NAMES,
     ReductionOutcome,
     known_reductions,
     reduce_chain,
@@ -92,7 +91,6 @@ __all__ = [
     "LEAF_SOLVERS",
     "LOWER_METHODS",
     "Qubo",
-    "REDUCTION_NAMES",
     "ReductionOutcome",
     "SELECTION_KINDS",
     "SelectionStrategy",

@@ -4,6 +4,14 @@ Every lower bound here is a valid upper bound on the independence number
 turned around (cover size = n - independent set size), so all bounds are
 safe on every input. Bounds are pure functions of the graph and fully
 deterministic.
+
+The combinatorial bounds take a Graph or a Subproblem alike: they read only
+``adjacency_masks``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
+and ``n``, and return vertex ids of the object they were given. A
+subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
+itself, so no complement graph is built. The spectral bound and registered
+bounds take a Graph, which ``combine_bounds`` builds only when one of them
+is enabled.
 """
 
 from __future__ import annotations
@@ -12,13 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, complement
+from .graphs import Graph, bits
+from .splitting import Subproblem
 
 __all__ = [
     "BoundsReport",
     "BoundConfig",
     "LOWER_METHODS",
     "UPPER_METHODS",
+    "greedy_matching",
     "lb_matching_half",
     "lb_min_degree",
     "lb_spectral",
@@ -78,22 +88,32 @@ class BoundsReport:
     witness_cover: frozenset[int] | None = None
 
 
-def lb_matching_half(g: Graph) -> int:
-    """Size of a greedy maximal matching; every cover hits each matched edge."""
+def greedy_matching(masks, alive: int) -> int:
+    """Size of a greedy maximal matching among the ``alive`` vertices.
+
+    Each unmatched vertex, in ascending id order, takes its lowest unmatched
+    neighbour; every cover hits each matched edge.
+    """
     matched = 0
-    taken = 0  # bitmask of matched vertices
-    for u, v in g.edges():
-        if not (taken >> u) & 1 and not (taken >> v) & 1:
-            taken |= (1 << u) | (1 << v)
+    while alive:
+        low = alive & -alive
+        alive ^= low
+        nbrs = masks[low.bit_length() - 1] & alive
+        if nbrs:
+            alive ^= nbrs & -nbrs
             matched += 1
     return matched
 
 
-def lb_min_degree(g: Graph) -> int:
+def lb_matching_half(g) -> int:
+    """Size of a greedy maximal matching; every cover hits each matched edge."""
+    return greedy_matching(g.adjacency_masks, g.alive)
+
+
+def lb_min_degree(g) -> int:
     """Minimum degree; any independent set leaves at least that many outside."""
-    if g.n == 0:
-        return 0
-    return min(g.degrees)
+    degrees = g.degrees
+    return min((degrees[v] for v in g.vertices()), default=0)
 
 
 def lb_spectral(g: Graph) -> int:
@@ -115,69 +135,68 @@ def lb_spectral(g: Graph) -> int:
     return max(0, n - (n_zero + min(n_pos, n_neg)))
 
 
-def _greedy_color_count(g: Graph) -> int:
-    """Colors used by greedy coloring, largest degree first, ties by id."""
-    if g.n == 0:
-        return 0
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    masks = g.adjacency_masks
-    color_members: list[int] = []  # bitmask of vertices per color class
-    for v in order:
-        for i, members in enumerate(color_members):
-            if not members & masks[v]:
-                color_members[i] |= 1 << v
-                break
-        else:
-            color_members.append(1 << v)
-    return len(color_members)
-
-
-def lb_coloring(g: Graph) -> int:
+def lb_coloring(g) -> int:
     """n minus a greedy proper coloring of the complement.
 
     The coloring count bounds the complement's clique number from above,
     hence the independence number of g, hence the cover size from below.
+    Vertices are colored in ascending (degree, id) order, that is largest
+    complement degree first; a class can take v when none of its members
+    is a complement neighbour of v, i.e. all of them are neighbours of v.
     """
-    k = _greedy_color_count(complement(g))
-    return max(0, g.n - k)
+    masks = g.adjacency_masks
+    classes: list[int] = []  # bitmask of vertices per color class
+    for v in sorted(g.vertices(), key=g.degrees.__getitem__):
+        outside = ~masks[v]
+        for i, members in enumerate(classes):
+            if not members & outside:
+                classes[i] = members | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return max(0, g.n - len(classes))
 
 
-def ub_greedy_clique(g: Graph) -> tuple[int, frozenset[int]]:
+def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     """Cover from a greedy maximal clique of the complement.
 
     The clique is an independent set of g, so everything outside it is a
-    vertex cover. Returns (cover size, cover).
+    vertex cover. Vertices join in ascending (degree, id) order when they
+    have no neighbour in the clique. Returns (cover size, cover).
     """
-    comp = complement(g)
-    order = sorted(comp.vertices(), key=lambda v: (-comp.degree(v), v))
-    masks = comp.adjacency_masks
+    masks = g.adjacency_masks
     clique = 0  # bitmask
-    for v in order:
-        if clique & ~masks[v] == 0:
+    for v in sorted(g.vertices(), key=g.degrees.__getitem__):
+        if not clique & masks[v]:
             clique |= 1 << v
-    cover = frozenset(v for v in g.vertices() if not (clique >> v) & 1)
+    cover = frozenset(bits(g.alive & ~clique))
     return len(cover), cover
 
 
 def combine_bounds(
-    g: Graph, cfg: BoundConfig, incumbent: int | None = None
+    g: Graph | Subproblem, cfg: BoundConfig, incumbent: int | None = None
 ) -> BoundsReport:
     """Best enabled lower and upper bounds, with the trivial 0 and n fallbacks.
 
     ``incumbent`` feeds the decomposition bound: the best complete cover seen
     so far, expressed as a budget for this graph. The greedy-clique witness
-    is kept only when it attains the reported upper bound.
+    is kept only when it attains the reported upper bound; its ids are
+    those of ``g``.
     """
-    lower_fns = {
+    mask_fns = {
         "matching_half": lb_matching_half,
-        "spectral": lb_spectral,
         "min_degree": lb_min_degree,
         "coloring": lb_coloring,
-        **_LOWER_REGISTRY,
     }
-    lower_parts = {
-        name: lower_fns[name](g) for name in sorted(cfg.lower_methods)
-    }
+    graph_fns = {"spectral": lb_spectral, **_LOWER_REGISTRY}
+    graph = g if isinstance(g, Graph) else None
+    lower_parts = {}
+    for name in sorted(cfg.lower_methods):
+        if name in mask_fns:
+            lower_parts[name] = mask_fns[name](g)
+        else:
+            graph = graph or g.graph
+            lower_parts[name] = graph_fns[name](graph)
     lower = max(lower_parts.values(), default=0)
 
     upper_parts: dict[str, int] = {}

@@ -107,7 +107,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="modeled annealer access cost per dispatched leaf")
     p.add_argument("--anneal-reads", type=int, default=100)
     p.add_argument("--anneal-sweeps", type=int, default=100)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _config_from_args(args: argparse.Namespace, seed: int | None = None) -> SolveConfig:
@@ -171,7 +170,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     cfg = _config_from_args(args)
     try:
-        result = solve(g, cfg, threads=args.threads)
+        result = solve(g, cfg)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -246,7 +245,7 @@ def cmd_bench_random(args: argparse.Namespace) -> int:
                     g = random_graph_avg_degree(n, value, seed=run_seed)
                     label = f"rand-n{n}-deg{value:g}"
                 cfg = _config_from_args(args, seed=run_seed)
-                result = solve(g, cfg, threads=args.threads)
+                result = solve(g, cfg)
                 sums["n"] += g.n
                 sums["m"] += g.m
                 sums["pre"] += result.preprocessing_seconds
@@ -330,7 +329,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             manifest["leaves"].append({
                 "id": i,
                 "file": name,
-                "n": leaf.graph.n,
+                "n": leaf.n,
                 "committed_count": len(leaf.committed),
                 "committed": sorted(leaf.committed),
                 "mapping": list(leaf.mapping.forward),

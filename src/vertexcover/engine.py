@@ -1,23 +1,29 @@
 """The full solver: recursive splitting with pruning, reductions, and leaf dispatch.
 
-The traversal is depth-first with the "vertex in cover" child explored
-first. That child shrinks by one vertex per level, so a leaf is reached
-quickly and its completed cover becomes the incumbent that prunes the rest
-of the tree. Preprocessing time is the decomposition work alone; time spent
-inside leaf solvers is excluded and modeled instead as a fixed cost per
-dispatched leaf.
+The traversal is a single-threaded depth-first search with the "vertex in
+cover" child explored first. That child shrinks by one vertex per level, so
+a leaf is reached quickly and its completed cover becomes the incumbent that
+prunes the rest of the tree.
+
+Every node is a ``Subproblem``: a bitmask of live vertices over the input
+graph's fixed adjacency masks. Reducing, bounding, selecting and splitting
+work on that mask; a standalone ``Graph`` is built only where a subproblem
+leaves the search, once per leaf before its solver runs (or, for
+``decompose_only``, when the caller reads a leaf's ``graph``).
+
+Preprocessing time is the decomposition work alone; time spent inside leaf
+solvers is excluded and modeled instead as a fixed cost per dispatched leaf.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
-from .bounds import BoundConfig, combine_bounds, ub_greedy_clique
-from .graphs import Graph
+from .bounds import BoundConfig, combine_bounds, greedy_matching, ub_greedy_clique
+from .graphs import Graph, bits
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
 from .reductions import known_reductions, reduce_chain
 from .splitting import SelectionStrategy, Subproblem, select_vertex, split
@@ -134,7 +140,9 @@ def exact_leaf_solve(g: Graph) -> set[int]:
     """Exact minimum vertex cover by branching on a highest-degree vertex.
 
     Pendant and isolated vertices are resolved without branching; a greedy
-    matching bound prunes against the best cover found so far.
+    matching bound prunes against the best cover found so far. The search
+    keeps its open branches on an explicit stack, so its depth is not
+    limited by the interpreter's recursion limit.
     """
     n = g.n
     if n == 0:
@@ -147,66 +155,44 @@ def exact_leaf_solve(g: Graph) -> set[int]:
         )
     masks = g.adjacency_masks
     best_size, best_cover = ub_greedy_clique(g)
-    best = [best_size, set(best_cover)]
-
-    def matching_bound(alive: int) -> int:
-        bound = 0
-        avail = alive
-        while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            nbrs = masks[v] & avail
-            if nbrs:
-                avail &= ~(nbrs & -nbrs)
-                bound += 1
-        return bound
-
-    def descend(alive: int, chosen: list[int], count: int):
-        while True:
-            if count >= best[0]:
-                return
+    stack = [(g.alive, 0)]  # (alive vertices, chosen cover vertices)
+    while stack:
+        alive, chosen = stack.pop()
+        count = chosen.bit_count()
+        while count < best_size:
             max_deg = 0
-            max_v = -1
+            branch = -1
             pendant = -1
             scan = alive
             while scan:
-                v = (scan & -scan).bit_length() - 1
-                scan &= scan - 1
+                low = scan & -scan
+                scan ^= low
+                v = low.bit_length() - 1
                 d = (masks[v] & alive).bit_count()
                 if d == 1 and pendant < 0:
                     pendant = v
                 if d > max_deg:
                     max_deg = d
-                    max_v = v
-            if max_deg == 0:
-                if count < best[0]:
-                    best[0] = count
-                    best[1] = set(chosen)
-                return
-            if pendant >= 0:
-                nb = masks[pendant] & alive
-                u = (nb & -nb).bit_length() - 1
-                chosen = chosen + [u]
-                count += 1
-                alive &= ~((1 << pendant) | (1 << u))
-                continue
-            break
-        if count + matching_bound(alive) >= best[0]:
-            return
-        v = max_v
-        nbrs = masks[v] & alive
-        nbr_list = []
-        scan = nbrs
-        while scan:
-            u = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            nbr_list.append(u)
-        # exclude v first: committing the whole neighborhood shrinks fastest
-        descend(alive & ~(nbrs | (1 << v)), chosen + nbr_list, count + len(nbr_list))
-        descend(alive & ~(1 << v), chosen + [v], count + 1)
-
-    descend((1 << n) - 1, [], 0)
-    return best[1]
+                    branch = v
+            if pendant < 0:
+                break
+            nb = masks[pendant] & alive
+            chosen |= nb
+            count += 1
+            alive &= ~(nb | (1 << pendant))
+        if count >= best_size:
+            continue
+        if branch < 0:  # no edges left: a better cover
+            best_size, best_cover = count, bits(chosen)
+            continue
+        if count + greedy_matching(masks, alive) >= best_size:
+            continue
+        nbrs = masks[branch] & alive
+        # exclude v first (popped first): committing the whole
+        # neighborhood shrinks fastest
+        stack.append((alive & ~(1 << branch), chosen | (1 << branch)))
+        stack.append((alive & ~(nbrs | (1 << branch)), chosen | nbrs))
+    return set(best_cover)
 
 
 def brute_force_oracle(g: Graph) -> int:
@@ -268,20 +254,16 @@ def brute_force_oracle(g: Graph) -> int:
 # -- traversal ---------------------------------------------------------------
 
 class _Incumbent:
-    """Best complete cover seen so far; safe to update from worker threads."""
+    """Best complete cover seen so far."""
 
     def __init__(self, cover: frozenset[int]):
         self.cover = cover
         self.size = len(cover)
-        self._lock = threading.Lock()
 
-    def offer(self, cover: frozenset[int]) -> bool:
-        with self._lock:
-            if len(cover) < self.size:
-                self.cover = cover
-                self.size = len(cover)
-                return True
-        return False
+    def offer(self, cover: frozenset[int]):
+        if len(cover) < self.size:
+            self.cover = cover
+            self.size = len(cover)
 
 
 class _Stats:
@@ -292,14 +274,12 @@ class _Stats:
         self.leaf_count = 0
         self.max_leaf_vertices = 0
         self.leaf_seconds = 0.0
-        self._lock = threading.Lock()
 
     def merge_leaf(self, depth: int, n_vertices: int, seconds: float):
-        with self._lock:
-            self.leaves[depth] += 1
-            self.leaf_count += 1
-            self.max_leaf_vertices = max(self.max_leaf_vertices, n_vertices)
-            self.leaf_seconds += seconds
+        self.leaves[depth] += 1
+        self.leaf_count += 1
+        self.max_leaf_vertices = max(self.max_leaf_vertices, n_vertices)
+        self.leaf_seconds += seconds
 
     def per_depth(self) -> tuple[DepthStats, ...]:
         depths = sorted(set(self.generated) | set(self.pruned) | set(self.leaves))
@@ -322,166 +302,79 @@ def _leaf_cover(graph: Graph, cfg: SolveConfig, leaf_seed: int) -> set[int]:
     return decode_cover(graph, assignment)
 
 
-def _process_node(
-    node: Subproblem,
-    cfg: SolveConfig,
-    incumbent: _Incumbent,
-    stats: _Stats,
-    counter: list[int],
-    dispatch: bool,
-    prune_on_equal: bool,
-    leaves: list[Subproblem] | None,
-) -> tuple[Subproblem, Subproblem] | None:
-    """Handle one subproblem; returns children to push, if any."""
-    if cfg.reductions:
-        node = reduce_chain(node, cfg.reductions).reduced
-
-    if node.graph.n <= cfg.leaf_size:
-        if dispatch:
-            t0 = time.perf_counter()
-            try:
-                local = _leaf_cover(node.graph, cfg, cfg.seed * 1_000_003 + node.ordinal)
-            except Exception as exc:
-                raise EngineError(
-                    f"leaf solver {cfg.leaf_solver!r} failed on subproblem "
-                    f"(depth={node.depth}, ordinal={node.ordinal}, "
-                    f"n={node.graph.n}): {exc}"
-                ) from exc
-            elapsed = time.perf_counter() - t0
-            total = node.committed | node.mapping.originals(local)
-            incumbent.offer(frozenset(total))
-            stats.merge_leaf(node.depth, node.graph.n, elapsed)
-        else:
-            stats.merge_leaf(node.depth, node.graph.n, 0.0)
-            if leaves is not None:
-                leaves.append(node)
-        return None
-
-    budget = None
-    if "decomposition_incumbent" in cfg.bounds.upper_methods:
-        budget = incumbent.size - len(node.committed)
-    report = combine_bounds(node.graph, cfg.bounds, incumbent=budget)
-    committed = len(node.committed)
-    over = committed + report.lower - incumbent.size
-    if over > 0 or (prune_on_equal and over == 0):
-        with stats._lock:
-            stats.pruned[node.depth] += 1
-        return None
-    if (
-        report.witness_cover is not None
-        and committed + len(report.witness_cover) < incumbent.size
-    ):
-        incumbent.offer(
-            frozenset(node.committed | node.mapping.originals(report.witness_cover))
-        )
-
-    v = select_vertex(node, cfg.strategy)
-    s_plus, s_minus = split(node, v)
-    with stats._lock:
-        counter[0] += 1
-        s_plus = replace(s_plus, ordinal=counter[0])
-        counter[0] += 1
-        s_minus = replace(s_minus, ordinal=counter[0])
-        stats.generated[s_plus.depth] += 2
-    return s_plus, s_minus
+def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, stats: _Stats):
+    """Solve one leaf; only the leaf solver's own call counts as leaf time."""
+    graph, mapping = node.graph, node.mapping
+    t0 = time.perf_counter()
+    try:
+        local = _leaf_cover(graph, cfg, cfg.seed * 1_000_003 + node.ordinal)
+    except Exception as exc:
+        raise EngineError(
+            f"leaf solver {cfg.leaf_solver!r} failed on subproblem "
+            f"(depth={node.depth}, ordinal={node.ordinal}, "
+            f"n={graph.n}): {exc}"
+        ) from exc
+    elapsed = time.perf_counter() - t0
+    incumbent.offer(node.committed | mapping.originals(local))
+    stats.merge_leaf(node.depth, graph.n, elapsed)
 
 
-def _run(
-    g: Graph,
-    cfg: SolveConfig,
-    dispatch: bool,
-    prune_on_equal: bool,
-    collect_leaves: bool,
-    threads: int,
-):
+def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
     t_start = time.perf_counter()
-    initial_size, initial_cover = ub_greedy_clique(g)
-    incumbent = _Incumbent(frozenset(initial_cover))
+    incumbent = _Incumbent(ub_greedy_clique(g)[1])
     stats = _Stats()
-    counter = [0]
-    leaves: list[Subproblem] | None = [] if collect_leaves else None
-    root = Subproblem.root(g)
+    leaves: list[Subproblem] = []
+    ordinal = 0
     stats.generated[0] += 1
+    stack = [Subproblem.root(g)]
+    while stack:
+        node = stack.pop()
+        if cfg.reductions:
+            node = reduce_chain(node, cfg.reductions).reduced
 
-    if threads <= 1:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            children = _process_node(
-                node, cfg, incumbent, stats, counter, dispatch, prune_on_equal, leaves
-            )
-            if children is not None:
-                s_plus, s_minus = children
-                stack.append(s_minus)
-                stack.append(s_plus)
-    else:
-        _run_parallel(
-            root, cfg, incumbent, stats, counter, dispatch, prune_on_equal, leaves, threads
-        )
+        if node.n <= cfg.leaf_size:
+            if dispatch:
+                _dispatch_leaf(node, cfg, incumbent, stats)
+            else:
+                stats.merge_leaf(node.depth, node.n, 0.0)
+                leaves.append(node)
+            continue
 
-    wall = time.perf_counter() - t_start
-    preprocessing = max(0.0, wall - stats.leaf_seconds)
+        committed = len(node.committed)
+        budget = None
+        if "decomposition_incumbent" in cfg.bounds.upper_methods:
+            budget = incumbent.size - committed
+        report = combine_bounds(node, cfg.bounds, incumbent=budget)
+        over = committed + report.lower - incumbent.size
+        if over > 0 or (prune_on_equal and over == 0):
+            stats.pruned[node.depth] += 1
+            continue
+        if (
+            report.witness_cover is not None
+            and committed + len(report.witness_cover) < incumbent.size
+        ):
+            incumbent.offer(node.committed | report.witness_cover)
+
+        v = select_vertex(node, cfg.strategy)
+        s_plus, s_minus = split(node, v)
+        stats.generated[s_plus.depth] += 2
+        stack.append(replace(s_minus, ordinal=ordinal + 2))
+        stack.append(replace(s_plus, ordinal=ordinal + 1))
+        ordinal += 2
+
+    preprocessing = time.perf_counter() - t_start - stats.leaf_seconds
     return incumbent, stats, preprocessing, leaves
 
 
-def _run_parallel(
-    root, cfg, incumbent, stats, counter, dispatch, prune_on_equal, leaves, threads
-):
-    stack: list[Subproblem] = [root]
-    lock = threading.Lock()
-    work_ready = threading.Condition(lock)
-    active = [0]
-    failures: list[BaseException] = []
-
-    def worker():
-        while True:
-            with work_ready:
-                while not stack and active[0] > 0 and not failures:
-                    work_ready.wait()
-                if failures or (not stack and active[0] == 0):
-                    work_ready.notify_all()
-                    return
-                node = stack.pop()
-                active[0] += 1
-            try:
-                children = _process_node(
-                    node, cfg, incumbent, stats, counter, dispatch,
-                    prune_on_equal, leaves,
-                )
-            except BaseException as exc:
-                with work_ready:
-                    failures.append(exc)
-                    active[0] -= 1
-                    work_ready.notify_all()
-                return
-            with work_ready:
-                if children is not None:
-                    stack.extend(children[::-1])
-                active[0] -= 1
-                work_ready.notify_all()
-
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
-    if failures:
-        raise failures[0]
-
-
-def solve(g: Graph, cfg: SolveConfig | None = None, threads: int = 1) -> SolveResult:
+def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveResult:
     """Find a minimum vertex cover of g.
 
     Exact when the leaf solver is exact; with the annealing leaf solver the
     returned cover is always valid but optimal only with the leaf solver's
-    own success probability. With ``threads > 1`` the cover size is still
-    deterministic for a fixed seed, but node counts may vary between runs.
+    own success probability.
     """
     cfg = cfg or SolveConfig()
-    incumbent, stats, preprocessing, _ = _run(
-        g, cfg, dispatch=True, prune_on_equal=True, collect_leaves=False,
-        threads=threads,
-    )
+    incumbent, stats, preprocessing, _ = _run(g, cfg, dispatch=True, prune_on_equal=True)
     if not is_vertex_cover(g, incumbent.cover):
         raise EngineError("internal error: final cover failed validation")
     solution_seconds = preprocessing + cfg.qpu_seconds_per_leaf * stats.leaf_count
@@ -508,10 +401,10 @@ def decompose_only(g: Graph, cfg: SolveConfig | None = None) -> DecomposeResult:
     """
     cfg = cfg or SolveConfig()
     incumbent, stats, preprocessing, leaves = _run(
-        g, cfg, dispatch=False, prune_on_equal=False, collect_leaves=True, threads=1
+        g, cfg, dispatch=False, prune_on_equal=False
     )
     return DecomposeResult(
-        leaves=tuple(leaves or ()),
+        leaves=tuple(leaves),
         incumbent_cover=incumbent.cover,
         subproblems_generated=sum(stats.generated.values()),
         subproblems_pruned=sum(stats.pruned.values()),

@@ -2,7 +2,8 @@
 
 Vertex ids are always the dense range 0..n-1. Parsers normalize arbitrary
 input labels to that range; ``VertexMapping`` tracks provenance when a graph
-is carved out of a larger one.
+is carved out of a larger one. ``bits`` lists the vertices of a bitmask,
+the form the solver's hot loops work in.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "Graph",
     "VertexMapping",
+    "bits",
     "GraphParseError",
     "parse_graph",
     "serialize_graph",
@@ -68,6 +70,11 @@ class Graph:
             sum(1 << u for u in nbrs) for nbrs in self.adjacency
         )
 
+    @property
+    def alive(self) -> int:
+        """Bitmask of every vertex, as for a subproblem that is the whole graph."""
+        return (1 << self.n) - 1
+
     def vertices(self) -> range:
         return range(self.n)
 
@@ -114,19 +121,16 @@ class VertexMapping:
         if len(set(self.forward)) != len(self.forward):
             raise ValueError("vertex mapping must be injective")
 
-    @classmethod
-    def identity(cls, n: int) -> "VertexMapping":
-        return cls(tuple(range(n)))
-
     def original(self, v: int) -> int:
         return self.forward[v]
 
     def originals(self, vs: Iterable[int]) -> set[int]:
         return {self.forward[v] for v in vs}
 
-    def compose(self, outer: "VertexMapping") -> "VertexMapping":
-        """Mapping for a subgraph of a subgraph: self indexes into outer."""
-        return VertexMapping(tuple(outer.forward[v] for v in self.forward))
+
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def complement(g: Graph) -> Graph:

@@ -9,20 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import induced_subgraph
+from .graphs import bits
 from .splitting import Subproblem
 
 __all__ = [
     "ReductionOutcome",
-    "REDUCTION_NAMES",
     "reduce_neighbor",
     "reduce_dominance",
     "reduce_chain",
     "register_reduction",
     "known_reductions",
 ]
-
-REDUCTION_NAMES = ("neighbor", "dominance")
 
 
 @dataclass(frozen=True)
@@ -32,22 +29,11 @@ class ReductionOutcome:
     cover_contribution: int
 
 
-def _rebuild(s: Subproblem, alive: set[int], new_committed: set[int]) -> Subproblem:
-    graph, local = induced_subgraph(s.graph, alive)
-    return Subproblem(
-        graph=graph,
-        mapping=local.compose(s.mapping),
-        committed=s.committed | new_committed,
-        depth=s.depth,
-        ordinal=s.ordinal,
-    )
-
-
-def _outcome(s: Subproblem, alive: set[int], committed: set[int]) -> ReductionOutcome:
-    removed = s.graph.n - len(alive)
-    if removed == 0:
+def _outcome(s: Subproblem, alive: int, committed: set[int]) -> ReductionOutcome:
+    if alive == s.alive:
         return ReductionOutcome(s, 0, 0)
-    return ReductionOutcome(_rebuild(s, alive, committed), removed, len(committed))
+    reduced = Subproblem(s.base, alive, s.committed | committed, s.depth, s.ordinal)
+    return ReductionOutcome(reduced, s.n - reduced.n, len(committed))
 
 
 def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
@@ -56,55 +42,49 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
     Pendant vertex v with neighbor u: u covers the edge, so commit u and
     drop both. Triangle {a, b, c} with a and b of degree exactly 2: c
     together with one of a, b covers all three edges (c also dominates b),
-    so commit {c, a} and drop the triangle.
+    so commit {c, a} and drop the triangle. Each pass applies the first
+    rule that fires, at the lowest vertex id it fires on.
     """
-    adj = {v: set(s.graph.neighbors(v)) for v in s.graph.vertices()}
+    masks = s.adjacency_masks
+    alive = s.alive
     committed: set[int] = set()
-
-    def drop(v: int):
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-
-    changed = True
-    while changed:
-        changed = False
-        isolated = [v for v, nbrs in adj.items() if not nbrs]
-        for v in isolated:
-            drop(v)
-            changed = True
-        if changed:
+    while True:
+        isolated = 0
+        pendant = -1
+        degree_two = []
+        for v in bits(alive):
+            degree = (masks[v] & alive).bit_count()
+            if degree == 0:
+                isolated |= 1 << v
+            elif degree == 1 and pendant < 0:
+                pendant = v
+            elif degree == 2:
+                degree_two.append(v)
+        if isolated:
+            alive &= ~isolated
             continue
-        pendant = next(
-            (v for v in sorted(adj) if len(adj[v]) == 1), None
-        )
-        if pendant is not None:
-            u = next(iter(adj[pendant]))
-            committed.add(s.mapping.original(u))
-            drop(pendant)
-            drop(u)
-            changed = True
+        if pendant >= 0:
+            nbr = masks[pendant] & alive
+            committed.add(nbr.bit_length() - 1)
+            alive &= ~(nbr | (1 << pendant))
             continue
-        for a in sorted(adj):
-            if len(adj[a]) != 2:
+        for a in degree_two:
+            nbrs = masks[a] & alive
+            low = nbrs & -nbrs
+            u, w = low.bit_length() - 1, (nbrs ^ low).bit_length() - 1
+            if not (masks[u] >> w) & 1:
                 continue
-            u, w = sorted(adj[a])
-            if u not in adj[w]:
-                continue
-            if len(adj[u]) == 2:
-                b, c = u, w
-            elif len(adj[w]) == 2:
-                b, c = w, u
+            if (masks[u] & alive).bit_count() == 2:
+                c = w
+            elif (masks[w] & alive).bit_count() == 2:
+                c = u
             else:
                 continue
-            committed.add(s.mapping.original(c))
-            committed.add(s.mapping.original(a))
-            for x in (a, b, c):
-                drop(x)
-            changed = True
+            committed |= {c, a}
+            alive &= ~(nbrs | (1 << a))
             break
-
-    return _outcome(s, set(adj), committed)
+        else:
+            return _outcome(s, alive, committed)
 
 
 def reduce_dominance(s: Subproblem) -> ReductionOutcome:
@@ -114,28 +94,19 @@ def reduce_dominance(s: Subproblem) -> ReductionOutcome:
     u for v still covers everything u covered, so some optimal cover
     contains v.
     """
-    adj = {v: set(s.graph.neighbors(v)) for v in s.graph.vertices()}
+    masks = s.adjacency_masks
+    alive = s.alive
     committed: set[int] = set()
-
-    def drop(v: int):
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(adj):
-            dominator = next(
-                (v for v in sorted(adj[u]) if (adj[u] - {v}) <= adj[v]), None
-            )
-            if dominator is not None:
-                committed.add(s.mapping.original(dominator))
-                drop(dominator)
-                changed = True
+    while True:
+        for u in bits(alive):
+            nbrs = masks[u] & alive
+            v = next((v for v in bits(nbrs) if not nbrs & ~masks[v] & ~(1 << v)), -1)
+            if v >= 0:
+                committed.add(v)
+                alive &= ~(1 << v)
                 break
-
-    return _outcome(s, set(adj), committed)
+        else:
+            return _outcome(s, alive, committed)
 
 
 _REDUCERS = {

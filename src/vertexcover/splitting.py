@@ -10,9 +10,10 @@ the parent is the better of the two completions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
-from .graphs import Graph, VertexMapping, induced_subgraph
+from .graphs import Graph, VertexMapping, bits, induced_subgraph
 
 __all__ = [
     "Subproblem",
@@ -27,24 +28,59 @@ SELECTION_KINDS = ("lowest_degree", "highest_degree", "median_degree", "random")
 
 @dataclass(frozen=True)
 class Subproblem:
-    """A residual graph plus the bookkeeping to interpret it.
+    """A residual graph: the ``alive`` vertices of the input graph ``base``.
 
-    ``committed`` holds original-graph vertex ids already decided to be in
-    the cover; they never reappear in the residual graph.
+    ``alive`` is a bitmask over ``base``'s vertex ids, and every vertex id a
+    subproblem hands out or takes is a ``base`` id. Degrees come from
+    ``base``'s fixed adjacency masks restricted to ``alive``, so deleting
+    vertices builds no graph. ``committed`` holds ids already decided to be
+    in the cover; they are never alive. ``graph`` and ``mapping`` build the
+    residual as a standalone graph on 0..n-1, for leaf solvers and files.
     """
 
-    graph: Graph
-    mapping: VertexMapping
+    base: Graph
+    alive: int
     committed: frozenset[int] = frozenset()
     depth: int = 0
     ordinal: int = 0
 
     @classmethod
     def root(cls, g: Graph) -> "Subproblem":
-        return cls(graph=g, mapping=VertexMapping.identity(g.n))
+        return cls(base=g, alive=g.alive)
+
+    @property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        return self.base.adjacency_masks
+
+    @property
+    def n(self) -> int:
+        return self.alive.bit_count()
+
+    def vertices(self) -> list[int]:
+        return bits(self.alive)
+
+    @cached_property
+    def degrees(self) -> dict[int, int]:
+        """Residual degree per alive vertex, in ascending id order."""
+        masks, alive = self.base.adjacency_masks, self.alive
+        return {v: (masks[v] & alive).bit_count() for v in self.vertices()}
+
+    @property
+    def graph(self) -> Graph:
+        """The residual graph, renumbered to 0..n-1 in ascending id order.
+
+        Built afresh on every access and not kept, so a list of leaves
+        holds no graphs.
+        """
+        return induced_subgraph(self.base, self.vertices())[0]
+
+    @property
+    def mapping(self) -> VertexMapping:
+        """Maps ``graph``'s vertex ids back to ``base`` ids."""
+        return VertexMapping(tuple(self.vertices()))
 
     def original_ids(self) -> set[int]:
-        return set(self.mapping.forward)
+        return set(self.vertices())
 
 
 @dataclass(frozen=True)
@@ -69,23 +105,24 @@ def _tie_break_rng(strategy: SelectionStrategy, s: Subproblem) -> random.Random:
 
 
 def select_vertex(s: Subproblem, strategy: SelectionStrategy) -> int:
-    """Pick the split vertex of the residual graph under the strategy."""
-    g = s.graph
-    if g.n == 0:
+    """Pick the split vertex of the residual graph under the strategy.
+
+    Tie candidates are listed in ascending id order before the seeded draw.
+    """
+    degrees = s.degrees
+    if not degrees:
         raise ValueError("cannot select a vertex from an empty graph")
-    degrees = g.degrees
     if strategy.kind == "random":
-        candidates = list(g.vertices())
-    elif strategy.kind == "lowest_degree":
-        target = min(degrees)
-        candidates = [v for v in g.vertices() if degrees[v] == target]
-    elif strategy.kind == "highest_degree":
-        target = max(degrees)
-        candidates = [v for v in g.vertices() if degrees[v] == target]
-    else:  # median_degree
-        order = sorted(g.vertices(), key=lambda v: (degrees[v], v))
-        target = degrees[order[len(order) // 2]]
-        candidates = [v for v in g.vertices() if degrees[v] == target]
+        candidates = list(degrees)
+    else:
+        if strategy.kind == "lowest_degree":
+            target = min(degrees.values())
+        elif strategy.kind == "highest_degree":
+            target = max(degrees.values())
+        else:  # median_degree
+            order = sorted(degrees, key=degrees.__getitem__)
+            target = degrees[order[len(order) // 2]]
+        candidates = [v for v, d in degrees.items() if d == target]
     if len(candidates) == 1:
         return candidates[0]
     return _tie_break_rng(strategy, s).choice(candidates)
@@ -93,33 +130,18 @@ def select_vertex(s: Subproblem, strategy: SelectionStrategy) -> int:
 
 def split(s: Subproblem, v: int) -> tuple[Subproblem, Subproblem]:
     """Split at v, returning the (v in cover, v out of cover) children."""
-    g = s.graph
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} not in residual graph of size {g.n}")
-    neighbors = g.neighbors(v)
-
-    plus_keep = [u for u in g.vertices() if u != v]
-    plus_graph, plus_local = induced_subgraph(g, plus_keep)
+    if v < 0 or not (s.alive >> v) & 1:
+        raise ValueError(f"vertex {v} not in the residual graph")
+    vbit = 1 << v
+    neighbors = s.base.adjacency_masks[v] & s.alive
     s_plus = Subproblem(
-        graph=plus_graph,
-        mapping=plus_local.compose(s.mapping),
-        committed=s.committed | {s.mapping.original(v)},
-        depth=s.depth + 1,
-        ordinal=s.ordinal,
+        s.base, s.alive & ~vbit, s.committed | {v}, s.depth + 1, s.ordinal
     )
-
-    dropped = neighbors | {v}
-    minus_keep = [u for u in g.vertices() if u not in dropped]
-    minus_graph, minus_local = induced_subgraph(g, minus_keep)
     s_minus = Subproblem(
-        graph=minus_graph,
-        mapping=minus_local.compose(s.mapping),
-        committed=s.committed | {s.mapping.original(u) for u in neighbors},
-        depth=s.depth + 1,
-        ordinal=s.ordinal,
+        s.base,
+        s.alive & ~(neighbors | vbit),
+        s.committed.union(bits(neighbors)),
+        s.depth + 1,
+        s.ordinal,
     )
     return s_plus, s_minus
-
-
-def with_ordinal(s: Subproblem, ordinal: int) -> Subproblem:
-    return replace(s, ordinal=ordinal)

@@ -55,18 +55,6 @@ def test_solve_reference_flag_combination(tmp_path, capsys):
     assert json.loads(out)["size"] == 5
 
 
-def test_solve_threads_flag(tmp_path, capsys):
-    from vertexcover import random_graph
-
-    path = tmp_path / "g.dimacs"
-    path.write_text(serialize_graph(random_graph(18, 0.3, seed=2), "dimacs"))
-    code, out, _ = run_cli(capsys, [
-        "solve", str(path), "--leaf-size", "6", "--threads", "3",
-    ])
-    assert code == 0
-    assert json.loads(out)["size"] == brute_force_oracle(random_graph(18, 0.3, seed=2))
-
-
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.dimacs"
     path.write_text("p edge 2 1\ne 1 9\n")

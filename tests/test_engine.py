@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from vertexcover import (
     SelectionStrategy,
     SolveConfig,
     brute_force_oracle,
+    build_graph,
     decompose_only,
     exact_leaf_solve,
     is_vertex_cover,
@@ -149,14 +152,6 @@ def test_pruning_preserves_optimum():
         assert bare.size == tuned.size
 
 
-def test_parallel_mode_same_size():
-    g = random_graph(24, 0.3, seed=5)
-    sequential = solve(g, SolveConfig(leaf_size=6, seed=5))
-    parallel = solve(g, SolveConfig(leaf_size=6, seed=5), threads=4)
-    assert parallel.size == sequential.size
-    assert is_vertex_cover(g, parallel.cover)
-
-
 def test_leaf_solver_failure_aborts_with_diagnostic():
     g = random_graph(40, 0.2, seed=1)
     cfg = SolveConfig(leaf_size=46, leaf_solver="qubo_exhaustive", seed=1)
@@ -208,3 +203,27 @@ def test_config_validation():
         SolveConfig(leaf_solver="annealer")
     with pytest.raises(ValueError):
         SolveConfig(reductions=("qpbo",))
+
+
+def gadget_plus_four_cycles(k: int):
+    """A 6-vertex gadget (cover 3) followed by k disjoint 4-cycles (cover 2 each)."""
+    edges = [(0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]
+    for i in range(k):
+        a = 6 + 4 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a)]
+    return build_graph(6 + 4 * k, edges)
+
+
+def test_exact_leaf_solve_depth_not_bounded_by_recursion_limit():
+    # The search on this graph goes about k branch levels deep.
+    k = 300
+    g = gadget_plus_four_cycles(k)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.warns(RuntimeWarning):
+            cover = exact_leaf_solve(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(cover) == 3 + 2 * k
+    assert is_vertex_cover(g, cover)

@@ -1,0 +1,98 @@
+"""The search tree is part of the solver's contract.
+
+``golden_tree.json`` holds, for a few fixed graphs under every selection
+strategy, three reduction chains and two bound configurations, the cover,
+leaf count, generated and pruned counts and per-depth stats of ``solve``,
+and the same with the incumbent cover for ``decompose_only``; it also holds
+the covers ``exact_leaf_solve`` returns on fixed random graphs, which
+depend on the order it explores branches in. Any change to how
+subproblems are represented must reproduce them exactly. To re-record
+after a deliberate change of the tree, run
+``PYTHONPATH=src python tests/test_golden_tree.py``.
+"""
+
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+from vertexcover import (
+    SELECTION_KINDS,
+    BoundConfig,
+    SelectionStrategy,
+    SolveConfig,
+    decompose_only,
+    exact_leaf_solve,
+    random_graph,
+    random_graph_avg_degree,
+    solve,
+)
+
+from conftest import keller_benchmark_graph
+
+GOLDEN_FILE = Path(__file__).with_name("golden_tree.json")
+
+# name -> (graph builder, leaf size)
+GRAPHS = {
+    "sparse-n60": (lambda: random_graph_avg_degree(60, 2, seed=5), 20),
+    "dense-n30": (lambda: random_graph(30, 0.5, seed=11), 10),
+    "keller-3": (lambda: keller_benchmark_graph(3), 8),
+}
+CHAINS = ((), ("neighbor",), ("neighbor", "dominance"))
+BOUNDS = {"default": BoundConfig(), "all": BoundConfig.all()}
+
+
+def tree_signatures(name: str) -> dict[str, list]:
+    build, leaf_size = GRAPHS[name]
+    g = build()
+    out = {}
+    for kind, chain, bounds in itertools.product(SELECTION_KINDS, CHAINS, BOUNDS):
+        cfg = SolveConfig(
+            leaf_size=leaf_size,
+            strategy=SelectionStrategy(kind, seed=3),
+            bounds=BOUNDS[bounds],
+            reductions=chain,
+            seed=3,
+        )
+        key = f"{kind}|{'+'.join(chain) or 'none'}|{bounds}"
+        solved = solve(g, cfg)
+        decomposed = decompose_only(g, cfg)
+        for mode, result, cover in (
+            ("solve", solved, solved.cover),
+            ("decompose", decomposed, decomposed.incumbent_cover),
+        ):
+            out[f"{mode}|{key}"] = [
+                sorted(cover),
+                result.leaf_count,
+                result.subproblems_generated,
+                result.subproblems_pruned,
+                [[r.depth, r.generated, r.pruned, r.leaves] for r in result.per_depth_stats],
+            ]
+    return out
+
+
+def leaf_covers() -> list[list[int]]:
+    return [
+        sorted(exact_leaf_solve(random_graph(12 + i % 20, 0.15 + 0.02 * (i % 10), seed=i)))
+        for i in range(40)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_search_tree_matches_golden(name):
+    golden = json.loads(GOLDEN_FILE.read_text())[name]
+    got = tree_signatures(name)
+    assert got.keys() == golden.keys()
+    mismatched = [key for key in golden if got[key] != golden[key]]
+    assert not mismatched, mismatched[:5]
+
+
+def test_exact_leaf_covers_match_golden():
+    assert leaf_covers() == json.loads(GOLDEN_FILE.read_text())["exact_leaf_solve"]
+
+
+if __name__ == "__main__":
+    golden = {name: tree_signatures(name) for name in sorted(GRAPHS)}
+    golden["exact_leaf_solve"] = leaf_covers()
+    GOLDEN_FILE.write_text(json.dumps(golden) + "\n")

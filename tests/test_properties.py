@@ -1,0 +1,70 @@
+"""Property tests: random small graphs and solver settings against the oracle."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vertexcover import (
+    LOWER_METHODS,
+    SELECTION_KINDS,
+    UPPER_METHODS,
+    BoundConfig,
+    SelectionStrategy,
+    SolveConfig,
+    brute_force_oracle,
+    build_graph,
+    decompose_only,
+    exact_leaf_solve,
+    is_vertex_cover,
+    solve,
+)
+
+
+@st.composite
+def graphs(draw, max_n: int = 14):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [pair for pair, keep in zip(pairs, present) if keep])
+
+
+configs = st.builds(
+    SolveConfig,
+    leaf_size=st.integers(1, 14),
+    strategy=st.builds(
+        SelectionStrategy,
+        kind=st.sampled_from(SELECTION_KINDS),
+        seed=st.integers(0, 1000),
+    ),
+    bounds=st.builds(
+        BoundConfig,
+        lower_methods=st.frozensets(st.sampled_from(LOWER_METHODS)),
+        upper_methods=st.frozensets(st.sampled_from(UPPER_METHODS)),
+    ),
+    reductions=st.lists(st.sampled_from(("neighbor", "dominance")), unique=True).map(tuple),
+    leaf_solver=st.sampled_from(("exact", "qubo_exhaustive")),
+    seed=st.integers(0, 1000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), configs)
+def test_solve_matches_oracle(g, cfg):
+    result = solve(g, cfg)
+    assert result.size == brute_force_oracle(g)
+    assert len(result.cover) == result.size
+    assert is_vertex_cover(g, result.cover)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), configs)
+def test_decompose_only_offline_completion_matches_oracle(g, cfg):
+    """Each leaf completes to a cover; the best completion, or the incumbent, is optimal."""
+    dec = decompose_only(g, cfg)
+    sizes = [dec.incumbent_size]
+    for leaf in dec.leaves:
+        assert not leaf.committed & set(leaf.mapping.forward)
+        completion = leaf.committed | leaf.mapping.originals(exact_leaf_solve(leaf.graph))
+        assert is_vertex_cover(g, completion)
+        sizes.append(len(leaf.committed) + brute_force_oracle(leaf.graph))
+    assert is_vertex_cover(g, dec.incumbent_cover)
+    assert min(sizes) == brute_force_oracle(g)

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Graphs in and out: parsing, generators, complement, induced subgraphs."""
+"""Graphs in and out: parsing, generators, induced subgraphs."""
 
 from vertexcover import (
-    complement,
     induced_subgraph,
     parse_graph,
     random_graph,
@@ -32,11 +31,6 @@ for fmt in ("edge_list", "matrix_market"):
     text = serialize_graph(g, fmt)
     again = parse_graph(text, fmt)
     print(f"{fmt}: {len(text.splitlines())} lines, reparsed m={again.m}")
-
-# Complementation swaps edges and non-edges.
-comp = complement(g)
-print("complement edges:", list(comp.edges()))
-print("edge counts add up:", g.m + comp.m == g.n * (g.n - 1) // 2)
 
 # Induced subgraphs renumber densely but remember where vertices came from.
 sub, mapping = induced_subgraph(g, [0, 2, 3, 4])

@@ -18,7 +18,6 @@ from .bounds import (
     lb_matching_half,
     lb_min_degree,
     lb_spectral,
-    register_lower_bound,
     ub_greedy_clique,
 )
 from .engine import (
@@ -41,7 +40,6 @@ from .graphs import (
     GraphParseError,
     VertexMapping,
     build_graph,
-    complement,
     induced_subgraph,
     parse_graph,
     random_graph,
@@ -65,7 +63,6 @@ from .reductions import (
     reduce_chain,
     reduce_dominance,
     reduce_neighbor,
-    register_reduction,
 )
 from .splitting import (
     SELECTION_KINDS,
@@ -103,7 +100,6 @@ __all__ = [
     "build_graph",
     "build_mvc_qubo",
     "combine_bounds",
-    "complement",
     "decode_cover",
     "decompose_only",
     "evaluate",
@@ -123,8 +119,6 @@ __all__ = [
     "reduce_chain",
     "reduce_dominance",
     "reduce_neighbor",
-    "register_lower_bound",
-    "register_reduction",
     "select_vertex",
     "serialize_graph",
     "solve",

@@ -9,9 +9,11 @@ The combinatorial bounds take a Graph or a Subproblem alike: they read only
 ``adjacency_masks``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
 and ``n``, and return vertex ids of the object they were given. A
 subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
-itself, so no complement graph is built. The spectral bound and registered
-bounds take a Graph, which ``combine_bounds`` builds only when one of them
-is enabled.
+itself, so no complement graph is built. The spectral bound takes a Graph,
+which ``combine_bounds`` builds only when that bound is enabled.
+
+The one upper bound, ``greedy_clique``, comes with a witness cover that
+attains it; the solver offers that cover to its incumbent.
 """
 
 from __future__ import annotations
@@ -35,22 +37,10 @@ __all__ = [
     "lb_coloring",
     "ub_greedy_clique",
     "combine_bounds",
-    "register_lower_bound",
 ]
 
 LOWER_METHODS = ("matching_half", "spectral", "min_degree", "coloring")
-UPPER_METHODS = ("greedy_clique", "decomposition_incumbent")
-
-# name -> Graph -> int; extension point for additional lower bounds
-# (an SDP-based bound, say) without touching the solver
-_LOWER_REGISTRY: dict = {}
-
-
-def register_lower_bound(name: str, fn) -> None:
-    """Make an extra lower-bound method available to BoundConfig."""
-    if name in _LOWER_REGISTRY or name in ("greedy_clique", "decomposition_incumbent"):
-        raise ValueError(f"bound method {name!r} already registered")
-    _LOWER_REGISTRY[name] = fn
+UPPER_METHODS = ("greedy_clique",)
 
 
 @dataclass(frozen=True)
@@ -58,13 +48,13 @@ class BoundConfig:
     """Which bound methods are active. Empty sets fall back to 0 and n."""
 
     lower_methods: frozenset[str] = frozenset(("coloring",))
-    upper_methods: frozenset[str] = frozenset(("decomposition_incumbent",))
+    upper_methods: frozenset[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "lower_methods", frozenset(self.lower_methods))
         object.__setattr__(self, "upper_methods", frozenset(self.upper_methods))
         for name in self.lower_methods:
-            if name not in LOWER_METHODS and name not in _LOWER_REGISTRY:
+            if name not in LOWER_METHODS:
                 raise ValueError(f"unknown lower bound method {name!r}")
         for name in self.upper_methods:
             if name not in UPPER_METHODS:
@@ -173,46 +163,33 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     return len(cover), cover
 
 
-def combine_bounds(
-    g: Graph | Subproblem, cfg: BoundConfig, incumbent: int | None = None
-) -> BoundsReport:
+_MASK_LOWER_BOUNDS = {
+    "matching_half": lb_matching_half,
+    "min_degree": lb_min_degree,
+    "coloring": lb_coloring,
+}
+
+
+def combine_bounds(g: Graph | Subproblem, cfg: BoundConfig) -> BoundsReport:
     """Best enabled lower and upper bounds, with the trivial 0 and n fallbacks.
 
-    ``incumbent`` feeds the decomposition bound: the best complete cover seen
-    so far, expressed as a budget for this graph. The greedy-clique witness
-    is kept only when it attains the reported upper bound; its ids are
-    those of ``g``.
+    The greedy-clique witness attains the reported upper bound whenever that
+    bound is enabled; its ids are those of ``g``.
     """
-    mask_fns = {
-        "matching_half": lb_matching_half,
-        "min_degree": lb_min_degree,
-        "coloring": lb_coloring,
-    }
-    graph_fns = {"spectral": lb_spectral, **_LOWER_REGISTRY}
-    graph = g if isinstance(g, Graph) else None
     lower_parts = {}
     for name in sorted(cfg.lower_methods):
-        if name in mask_fns:
-            lower_parts[name] = mask_fns[name](g)
+        if name == "spectral":
+            lower_parts[name] = lb_spectral(g if isinstance(g, Graph) else g.graph)
         else:
-            graph = graph or g.graph
-            lower_parts[name] = graph_fns[name](graph)
-    lower = max(lower_parts.values(), default=0)
+            lower_parts[name] = _MASK_LOWER_BOUNDS[name](g)
 
     upper_parts: dict[str, int] = {}
     witness: frozenset[int] | None = None
     if "greedy_clique" in cfg.upper_methods:
-        size, cover = ub_greedy_clique(g)
-        upper_parts["greedy_clique"] = size
-        witness = cover
-    if "decomposition_incumbent" in cfg.upper_methods and incumbent is not None:
-        upper_parts["decomposition_incumbent"] = incumbent
-    upper = min(list(upper_parts.values()) + [g.n])
-    if witness is not None and len(witness) != upper:
-        witness = None
+        upper_parts["greedy_clique"], witness = ub_greedy_clique(g)
     return BoundsReport(
-        lower=lower,
-        upper=upper,
+        lower=max(lower_parts.values(), default=0),
+        upper=min(upper_parts.values(), default=g.n),
         lower_parts=lower_parts,
         upper_parts=upper_parts,
         witness_cover=witness,

@@ -12,10 +12,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import BoundConfig, LOWER_METHODS, UPPER_METHODS
+from .bounds import BoundConfig, LOWER_METHODS
 from .engine import (
     EngineError,
     LEAF_SIZE_PRESETS,
@@ -49,8 +49,6 @@ _LOWER_CHOICES = {
 _UPPER_CHOICES = {
     "none": frozenset(),
     "clique": frozenset({"greedy_clique"}),
-    "decomposition": frozenset({"decomposition_incumbent"}),
-    "all": frozenset(UPPER_METHODS),
 }
 _REDUCTION_CHOICES = {
     "none": (),
@@ -63,18 +61,6 @@ _FORMAT_CHOICES = {
     "edge-list": "edge_list",
     "matrix-market": "matrix_market",
 }
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    label: str
-    n: float
-    m: float
-    preprocessing_seconds: float
-    leaf_count: float
-    solution_seconds: float
-    cover_size: float
-    config: str
 
 
 def _leaf_size(value: str) -> int:
@@ -95,7 +81,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--select", choices=sorted(_SELECT_KINDS), default="max",
                    help="split vertex selection strategy")
     p.add_argument("--lower-bound", choices=sorted(_LOWER_CHOICES), default="coloring")
-    p.add_argument("--upper-bound", choices=sorted(_UPPER_CHOICES), default="decomposition")
+    p.add_argument("--upper-bound", choices=sorted(_UPPER_CHOICES), default="none")
     p.add_argument("--reduction", choices=sorted(_REDUCTION_CHOICES), default="neighbor")
     p.add_argument("--leaf-solver",
                    choices=["exact", "qubo-exhaustive", "qubo-anneal"], default="exact")
@@ -229,11 +215,15 @@ def cmd_bench_random(args: argparse.Namespace) -> int:
         print("error: --reps must be at least 1", file=sys.stderr)
         return EXIT_USAGE
 
-    rows = []
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["label", "n", "m", "preprocessing_seconds", "leaf_count",
+                     "solution_seconds", "cover_size", "config"])
     fingerprint = _config_fingerprint(args)
     point_index = 0
     for n in sizes:
         for kind, value in params:
+            # per-repetition sums, in the CSV's column order
             sums = {"n": 0.0, "m": 0.0, "pre": 0.0, "leaves": 0.0,
                     "sol": 0.0, "size": 0.0}
             for rep in range(args.reps):
@@ -252,27 +242,9 @@ def cmd_bench_random(args: argparse.Namespace) -> int:
                 sums["leaves"] += result.leaf_count
                 sums["sol"] += result.solution_seconds
                 sums["size"] += result.size
-            reps = args.reps
-            rows.append(BenchRow(
-                label=label,
-                n=sums["n"] / reps,
-                m=sums["m"] / reps,
-                preprocessing_seconds=sums["pre"] / reps,
-                leaf_count=sums["leaves"] / reps,
-                solution_seconds=sums["sol"] / reps,
-                cover_size=sums["size"] / reps,
-                config=fingerprint,
-            ))
+            writer.writerow([label, *(s / args.reps for s in sums.values()), fingerprint])
             point_index += 1
 
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["label", "n", "m", "preprocessing_seconds", "leaf_count",
-                     "solution_seconds", "cover_size", "config"])
-    for row in rows:
-        writer.writerow([row.label, row.n, row.m, row.preprocessing_seconds,
-                         row.leaf_count, row.solution_seconds, row.cover_size,
-                         row.config])
     text = out.getvalue()
     if args.output:
         try:

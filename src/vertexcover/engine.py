@@ -6,10 +6,15 @@ a leaf is reached quickly and its completed cover becomes the incumbent that
 prunes the rest of the tree.
 
 Every node is a ``Subproblem``: a bitmask of live vertices over the input
-graph's fixed adjacency masks. Reducing, bounding, selecting and splitting
-work on that mask; a standalone ``Graph`` is built only where a subproblem
-leaves the search, once per leaf before its solver runs (or, for
-``decompose_only``, when the caller reads a leaf's ``graph``).
+graph's fixed adjacency masks. Reducing, bounding, selecting, splitting and
+the exact leaf search all work on that mask. A standalone ``Graph`` is built
+only where a subproblem leaves the search: once per QUBO leaf, before its
+solver runs, or, for ``decompose_only``, when the caller reads a leaf's
+``graph``.
+
+Nodes are pruned against the size of the best complete cover found so far.
+With the ``greedy_clique`` upper bound enabled, each bounded node's clique
+cover is offered as a new best cover.
 
 Preprocessing time is the decomposition work alone; time spent inside leaf
 solvers is excluded and modeled instead as a fixed cost per dispatched leaf.
@@ -136,12 +141,13 @@ def is_vertex_cover(g: Graph, cover) -> bool:
 
 # -- direct solvers ----------------------------------------------------------
 
-def exact_leaf_solve(g: Graph) -> set[int]:
+def exact_leaf_solve(g: Graph | Subproblem) -> set[int]:
     """Exact minimum vertex cover by branching on a highest-degree vertex.
 
-    Pendant and isolated vertices are resolved without branching; a greedy
-    matching bound prunes against the best cover found so far. The search
-    keeps its open branches on an explicit stack, so its depth is not
+    Takes a Graph or a Subproblem and returns vertex ids of what it was
+    given. Pendant and isolated vertices are resolved without branching; a
+    greedy matching bound prunes against the best cover found so far. The
+    search keeps its open branches on an explicit stack, so its depth is not
     limited by the interpreter's recursion limit.
     """
     n = g.n
@@ -289,9 +295,7 @@ class _Stats:
         )
 
 
-def _leaf_cover(graph: Graph, cfg: SolveConfig, leaf_seed: int) -> set[int]:
-    if cfg.leaf_solver == "exact":
-        return exact_leaf_solve(graph)
+def _qubo_leaf_cover(graph: Graph, cfg: SolveConfig, leaf_seed: int) -> set[int]:
     q = build_mvc_qubo(graph)
     if cfg.leaf_solver == "qubo_exhaustive":
         assignment, _ = solve_exhaustive(q)
@@ -303,20 +307,29 @@ def _leaf_cover(graph: Graph, cfg: SolveConfig, leaf_seed: int) -> set[int]:
 
 
 def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, stats: _Stats):
-    """Solve one leaf; only the leaf solver's own call counts as leaf time."""
-    graph, mapping = node.graph, node.mapping
+    """Solve one leaf; only the leaf solver's own call counts as leaf time.
+
+    The exact solver searches the subproblem itself. A QUBO leaf needs a
+    standalone graph, which is built before the leaf timer starts.
+    """
+    graph = None if cfg.leaf_solver == "exact" else node.graph
     t0 = time.perf_counter()
     try:
-        local = _leaf_cover(graph, cfg, cfg.seed * 1_000_003 + node.ordinal)
+        if graph is None:
+            cover = exact_leaf_solve(node)
+        else:
+            cover = _qubo_leaf_cover(graph, cfg, cfg.seed * 1_000_003 + node.ordinal)
     except Exception as exc:
         raise EngineError(
             f"leaf solver {cfg.leaf_solver!r} failed on subproblem "
             f"(depth={node.depth}, ordinal={node.ordinal}, "
-            f"n={graph.n}): {exc}"
+            f"n={node.n}): {exc}"
         ) from exc
     elapsed = time.perf_counter() - t0
-    incumbent.offer(node.committed | mapping.originals(local))
-    stats.merge_leaf(node.depth, graph.n, elapsed)
+    if graph is not None:
+        cover = node.mapping.originals(cover)
+    incumbent.offer(node.committed | cover)
+    stats.merge_leaf(node.depth, node.n, elapsed)
 
 
 def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
@@ -340,19 +353,12 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
                 leaves.append(node)
             continue
 
-        committed = len(node.committed)
-        budget = None
-        if "decomposition_incumbent" in cfg.bounds.upper_methods:
-            budget = incumbent.size - committed
-        report = combine_bounds(node, cfg.bounds, incumbent=budget)
-        over = committed + report.lower - incumbent.size
+        report = combine_bounds(node, cfg.bounds)
+        over = len(node.committed) + report.lower - incumbent.size
         if over > 0 or (prune_on_equal and over == 0):
             stats.pruned[node.depth] += 1
             continue
-        if (
-            report.witness_cover is not None
-            and committed + len(report.witness_cover) < incumbent.size
-        ):
+        if report.witness_cover is not None:
             incumbent.offer(node.committed | report.witness_cover)
 
         v = select_vertex(node, cfg.strategy)

@@ -21,7 +21,6 @@ __all__ = [
     "GraphParseError",
     "parse_graph",
     "serialize_graph",
-    "complement",
     "induced_subgraph",
     "random_graph",
     "random_graph_avg_degree",
@@ -84,9 +83,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -131,15 +127,6 @@ class VertexMapping:
 def bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-
-def complement(g: Graph) -> Graph:
-    """Graph on the same vertices with exactly the missing edges."""
-    n = g.n
-    full = frozenset(range(n))
-    return Graph(
-        tuple((full - g.adjacency[v]) - {v} for v in range(n))
-    )
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, VertexMapping]:

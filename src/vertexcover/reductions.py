@@ -17,7 +17,6 @@ __all__ = [
     "reduce_neighbor",
     "reduce_dominance",
     "reduce_chain",
-    "register_reduction",
     "known_reductions",
 ]
 
@@ -113,17 +112,6 @@ _REDUCERS = {
     "neighbor": reduce_neighbor,
     "dominance": reduce_dominance,
 }
-
-
-def register_reduction(name: str, fn) -> None:
-    """Register an extra reduction (a persistency analysis, say) by name.
-
-    The callable maps a Subproblem to a ReductionOutcome and must preserve
-    the optimal total cover size.
-    """
-    if name in _REDUCERS:
-        raise ValueError(f"reduction {name!r} already registered")
-    _REDUCERS[name] = fn
 
 
 def known_reductions() -> tuple[str, ...]:

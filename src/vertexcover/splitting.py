@@ -79,9 +79,6 @@ class Subproblem:
         """Maps ``graph``'s vertex ids back to ``base`` ids."""
         return VertexMapping(tuple(self.vertices()))
 
-    def original_ids(self) -> set[int]:
-        return set(self.vertices())
-
 
 @dataclass(frozen=True)
 class SelectionStrategy:

@@ -42,8 +42,8 @@ LEAF_SOLVERS = ("exact", "qubo_exhaustive")
 def bound_configurations():
     configs = [BoundConfig.none()]
     for lower in ("matching_half", "spectral", "min_degree", "coloring"):
-        for upper in ("greedy_clique", "decomposition_incumbent"):
-            configs.append(BoundConfig(frozenset({lower}), frozenset({upper})))
+        for upper in (frozenset({"greedy_clique"}), frozenset()):
+            configs.append(BoundConfig(frozenset({lower}), upper))
     configs.append(BoundConfig.all())
     return configs
 

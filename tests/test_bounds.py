@@ -59,14 +59,6 @@ def test_combine_bounds_c5():
     assert report.upper >= 3
 
 
-def test_combine_bounds_incumbent_dominates():
-    g = random_graph(8, 0.5, seed=0)
-    cfg = BoundConfig(frozenset(), frozenset({"decomposition_incumbent"}))
-    report = combine_bounds(g, cfg, incumbent=0)
-    assert report.upper == 0
-    assert report.witness_cover is None
-
-
 def test_combine_bounds_edgeless():
     report = combine_bounds(empty_graph(4), BoundConfig.all())
     assert report.lower == 0
@@ -101,8 +93,8 @@ def test_lower_never_exceeds_upper_when_sound(corpus_n16):
 
 def test_reports_deterministic():
     g = random_graph(14, 0.5, seed=8)
-    first = combine_bounds(g, BoundConfig.all(), incumbent=9)
-    second = combine_bounds(g, BoundConfig.all(), incumbent=9)
+    first = combine_bounds(g, BoundConfig.all())
+    second = combine_bounds(g, BoundConfig.all())
     assert first == second
 
 
@@ -118,14 +110,3 @@ def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         BoundConfig(frozenset(), frozenset({"magic"}))
 
-
-def test_registered_lower_bound_is_usable():
-    from vertexcover import register_lower_bound
-
-    register_lower_bound("half_vertices_demo", lambda g: 0 if g.m == 0 else 1)
-    cfg = BoundConfig(frozenset({"half_vertices_demo", "coloring"}), frozenset())
-    report = combine_bounds(complete_graph(4), cfg)
-    assert report.lower_parts["half_vertices_demo"] == 1
-    assert report.lower == 3
-    with pytest.raises(ValueError):
-        register_lower_bound("half_vertices_demo", lambda g: 0)

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from vertexcover import brute_force_oracle, parse_graph, parse_qubo, serialize_graph
+from vertexcover import (
+    brute_force_oracle,
+    exact_leaf_solve,
+    is_vertex_cover,
+    parse_graph,
+    parse_qubo,
+    serialize_graph,
+)
 from vertexcover.cli import main
 
 from conftest import complete_graph
@@ -48,8 +55,7 @@ def test_solve_reference_flag_combination(tmp_path, capsys):
     path = tmp_path / "g.dimacs"
     path.write_text(serialize_graph(complete_graph(6), "dimacs"))
     code, out, _ = run_cli(capsys, [
-        "solve", str(path), "--lower-bound", "coloring",
-        "--upper-bound", "decomposition", "--reduction", "neighbor",
+        "solve", str(path), "--lower-bound", "coloring", "--reduction", "neighbor",
     ])
     assert code == 0
     assert json.loads(out)["size"] == 5
@@ -136,26 +142,41 @@ def test_export_qubo_round_trip(tmp_path, capsys):
 def test_decompose_manifest_closure(tmp_path, capsys):
     from vertexcover import random_graph
 
-    g = random_graph(16, 0.35, seed=9)
-    oracle = brute_force_oracle(g)
-    path = tmp_path / "g.dimacs"
-    path.write_text(serialize_graph(g, "dimacs"))
-    out_dir = tmp_path / "leaves"
-    code, out, _ = run_cli(capsys, [
-        "decompose", str(path), "--output-dir", str(out_dir),
-        "--leaf-size", "5", "--seed", "3",
-    ])
-    assert code == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    candidates = [manifest["incumbent_size"]]
-    for leaf in manifest["leaves"]:
-        leaf_graph = parse_graph((out_dir / leaf["file"]).read_text(), "dimacs")
-        assert leaf_graph.n <= 5
-        candidates.append(leaf["committed_count"] + brute_force_oracle(leaf_graph))
-    assert min(candidates) == oracle
-    # legend printed to stdout mirrors the manifest
-    stats = json.loads(out)
-    assert stats["leaf_count"] == len(manifest["leaves"])
+    # the second graph's leaves keep edges, so the mapping is exercised
+    leaves_with_edges = 0
+    for g, leaf_size in ((random_graph(16, 0.35, seed=9), 5),
+                         (random_graph(20, 0.5, seed=9), 8)):
+        oracle = brute_force_oracle(g)
+        path = tmp_path / "g.dimacs"
+        path.write_text(serialize_graph(g, "dimacs"))
+        out_dir = tmp_path / f"leaves{leaf_size}"
+        code, out, _ = run_cli(capsys, [
+            "decompose", str(path), "--output-dir", str(out_dir),
+            "--leaf-size", str(leaf_size), "--seed", "3",
+        ])
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        candidates = [manifest["incumbent_size"]]
+        # the manifest alone finishes the solve: each leaf's committed
+        # vertices plus its mapped leaf cover is a cover of the input
+        covers = [manifest["incumbent_cover"]]
+        for leaf in manifest["leaves"]:
+            leaf_graph = parse_graph((out_dir / leaf["file"]).read_text(), "dimacs")
+            assert leaf_graph.n <= leaf_size
+            leaves_with_edges += leaf_graph.m > 0
+            candidates.append(leaf["committed_count"] + brute_force_oracle(leaf_graph))
+            cover = set(leaf["committed"]) | {
+                leaf["mapping"][v] for v in exact_leaf_solve(leaf_graph)
+            }
+            assert is_vertex_cover(g, cover)
+            covers.append(cover)
+        assert min(candidates) == oracle
+        assert is_vertex_cover(g, manifest["incumbent_cover"])
+        assert min(len(c) for c in covers) == oracle
+        # legend printed to stdout mirrors the manifest
+        stats = json.loads(out)
+        assert stats["leaf_count"] == len(manifest["leaves"])
+    assert leaves_with_edges > 0
 
 
 def test_decompose_small_input_is_single_identical_leaf(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_solve_matches_oracle_across_configs():
     bound_cfgs = [
         BoundConfig.none(),
         BoundConfig.all(),
-        BoundConfig(frozenset({"coloring"}), frozenset({"decomposition_incumbent"})),
+        BoundConfig(frozenset({"coloring"}), frozenset()),
     ]
     reductions = [(), ("neighbor",), ("dominance",), ("neighbor", "dominance")]
     for strat, bounds, reds in itertools.product(strategies, bound_cfgs, reductions):

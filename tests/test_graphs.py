@@ -3,7 +3,6 @@ import pytest
 from vertexcover import (
     GraphParseError,
     build_graph,
-    complement,
     induced_subgraph,
     parse_graph,
     random_graph,
@@ -11,7 +10,7 @@ from vertexcover import (
     serialize_graph,
 )
 
-from conftest import complete_graph, empty_graph, path_graph
+from conftest import complete_graph, path_graph
 
 
 def test_parse_dimacs_triangle():
@@ -74,25 +73,6 @@ def test_parse_errors_name_line(text, format, bad_line):
         parse_graph(text, format)
     assert err.value.line == bad_line
     assert f"line {bad_line}" in str(err.value)
-
-
-def test_complement_complete_and_empty():
-    assert complement(complete_graph(3)).m == 0
-    comp = complement(empty_graph(4))
-    assert comp.m == 6
-
-
-def test_complement_path():
-    assert set(complement(path_graph(3)).edges()) == {(0, 2)}
-
-
-def test_complement_involution_and_edge_counts():
-    for seed in range(25):
-        n = 2 + seed * 2  # sizes 2..50
-        g = random_graph(n, 0.4, seed=seed)
-        comp = complement(g)
-        assert complement(comp).adjacency == g.adjacency
-        assert g.m + comp.m == n * (n - 1) // 2
 
 
 def test_induced_subgraph_complete():

@@ -113,19 +113,6 @@ def test_reduction_fixpoint(reducer):
         assert again.cover_contribution == 0
 
 
-def test_registered_reduction_is_usable():
-    from vertexcover import ReductionOutcome, register_reduction
-
-    def no_op(s):
-        return ReductionOutcome(s, 0, 0)
-
-    register_reduction("noop_demo", no_op)
-    out = reduce_chain(Subproblem.root(path_graph(3)), ["noop_demo", "neighbor"])
-    assert out.cover_contribution == 1
-    with pytest.raises(ValueError):
-        register_reduction("neighbor", no_op)
-
-
 def test_outcome_invariants():
     for seed in range(10):
         g = random_graph(12, 0.25, seed=40 + seed)

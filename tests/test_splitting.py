@@ -127,4 +127,4 @@ def test_split_bookkeeping_monotone_and_disjoint():
         seen |= s_plus.committed - node.committed
         node = s_plus
     # committed vertices never reappear in the residual
-    assert not (node.committed & node.original_ids())
+    assert not (node.committed & set(node.vertices()))

@@ -30,7 +30,7 @@ __all__ = [
     "BoundConfig",
     "LOWER_METHODS",
     "UPPER_METHODS",
-    "greedy_matching",
+    "greedy_clique_partition_bound",
     "lb_matching_half",
     "lb_min_degree",
     "lb_spectral",
@@ -78,12 +78,33 @@ class BoundsReport:
     witness_cover: frozenset[int] | None = None
 
 
-def greedy_matching(masks, alive: int) -> int:
-    """Size of a greedy maximal matching among the ``alive`` vertices.
+def greedy_clique_partition_bound(masks, alive: int) -> int:
+    """Alive vertices less the cliques of a greedy clique partition.
+
+    Each unused vertex, in ascending id order, starts a clique that takes,
+    in ascending id order, every unused vertex adjacent to all its members.
+    A cover holds all but at most one vertex of each clique.
+    """
+    bound = 0
+    while alive:
+        low = alive & -alive
+        alive ^= low
+        candidates = masks[low.bit_length() - 1] & alive
+        while candidates:
+            low = candidates & -candidates
+            alive ^= low
+            candidates &= masks[low.bit_length() - 1]
+            bound += 1
+    return bound
+
+
+def lb_matching_half(g) -> int:
+    """Size of a greedy maximal matching; every cover hits each matched edge.
 
     Each unmatched vertex, in ascending id order, takes its lowest unmatched
-    neighbour; every cover hits each matched edge.
+    neighbour.
     """
+    masks, alive = g.adjacency_masks, g.alive
     matched = 0
     while alive:
         low = alive & -alive
@@ -93,11 +114,6 @@ def greedy_matching(masks, alive: int) -> int:
             alive ^= nbrs & -nbrs
             matched += 1
     return matched
-
-
-def lb_matching_half(g) -> int:
-    """Size of a greedy maximal matching; every cover hits each matched edge."""
-    return greedy_matching(g.adjacency_masks, g.alive)
 
 
 def lb_min_degree(g) -> int:

@@ -96,21 +96,26 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args: argparse.Namespace, seed: int | None = None) -> SolveConfig:
+    """Build the solve configuration; invalid solver flags are a usage error."""
     seed = args.seed if seed is None else seed
-    return SolveConfig(
-        leaf_size=args.leaf_size,
-        strategy=SelectionStrategy(kind=_SELECT_KINDS[args.select], seed=seed),
-        bounds=BoundConfig(
-            lower_methods=_LOWER_CHOICES[args.lower_bound],
-            upper_methods=_UPPER_CHOICES[args.upper_bound],
-        ),
-        reductions=_REDUCTION_CHOICES[args.reduction],
-        leaf_solver=args.leaf_solver.replace("-", "_"),
-        seed=seed,
-        qpu_seconds_per_leaf=args.qpu_seconds,
-        anneal_reads=args.anneal_reads,
-        anneal_sweeps=args.anneal_sweeps,
-    )
+    try:
+        return SolveConfig(
+            leaf_size=args.leaf_size,
+            strategy=SelectionStrategy(kind=_SELECT_KINDS[args.select], seed=seed),
+            bounds=BoundConfig(
+                lower_methods=_LOWER_CHOICES[args.lower_bound],
+                upper_methods=_UPPER_CHOICES[args.upper_bound],
+            ),
+            reductions=_REDUCTION_CHOICES[args.reduction],
+            leaf_solver=args.leaf_solver.replace("-", "_"),
+            seed=seed,
+            qpu_seconds_per_leaf=args.qpu_seconds,
+            anneal_reads=args.anneal_reads,
+            anneal_sweeps=args.anneal_sweeps,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from exc
 
 
 def _config_fingerprint(args: argparse.Namespace) -> str:
@@ -214,6 +219,7 @@ def cmd_bench_random(args: argparse.Namespace) -> int:
     if args.reps < 1:
         print("error: --reps must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    _config_from_args(args)  # reject bad solver flags before any graph is built
 
     out = io.StringIO()
     writer = csv.writer(out)

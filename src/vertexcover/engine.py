@@ -16,18 +16,32 @@ Nodes are pruned against the size of the best complete cover found so far.
 With the ``greedy_clique`` upper bound enabled, each bounded node's clique
 cover is offered as a new best cover.
 
+An exact leaf is searched only for covers that would beat that incumbent:
+its cutoff is the incumbent size less the leaf's committed vertices, and
+``exact_leaf_solve`` returns ``None`` when the leaf has no cover below it.
+A leaf cover could only ever replace the incumbent when it is below the
+cutoff, and any such cover survives every prune the cutoff adds, so the
+incumbent, the tree and the final cover are the same as with leaves solved
+to their own optimum.
+
 Preprocessing time is the decomposition work alone; time spent inside leaf
 solvers is excluded and modeled instead as a fixed cost per dispatched leaf.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
-from .bounds import BoundConfig, combine_bounds, greedy_matching, ub_greedy_clique
+from .bounds import (
+    BoundConfig,
+    combine_bounds,
+    greedy_clique_partition_bound,
+    ub_greedy_clique,
+)
 from .graphs import Graph, bits
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
 from .reductions import known_reductions, reduce_chain
@@ -89,6 +103,15 @@ class SolveConfig:
                 raise ValueError(
                     f"unknown reduction {name!r}; expected one of {known_reductions()}"
                 )
+        if self.anneal_reads < 1:
+            raise ValueError(f"anneal_reads must be at least 1, got {self.anneal_reads}")
+        if self.anneal_sweeps < 1:
+            raise ValueError(f"anneal_sweeps must be at least 1, got {self.anneal_sweeps}")
+        if not (math.isfinite(self.qpu_seconds_per_leaf) and self.qpu_seconds_per_leaf >= 0):
+            raise ValueError(
+                "qpu_seconds_per_leaf must be finite and non-negative, "
+                f"got {self.qpu_seconds_per_leaf}"
+            )
         if self.strategy is None:
             object.__setattr__(
                 self, "strategy", SelectionStrategy(seed=self.seed)
@@ -141,16 +164,23 @@ def is_vertex_cover(g: Graph, cover) -> bool:
 
 # -- direct solvers ----------------------------------------------------------
 
-def exact_leaf_solve(g: Graph | Subproblem) -> set[int]:
+def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int] | None:
     """Exact minimum vertex cover by branching on a highest-degree vertex.
 
     Takes a Graph or a Subproblem and returns vertex ids of what it was
     given. Pendant and isolated vertices are resolved without branching; a
-    greedy matching bound prunes against the best cover found so far. The
-    search keeps its open branches on an explicit stack, so its depth is not
-    limited by the interpreter's recursion limit.
+    greedy clique-partition bound prunes against the best cover found so
+    far. The search keeps its open branches on an explicit stack, so its
+    depth is not limited by the interpreter's recursion limit.
+
+    ``limit`` is an optional cutoff: only covers smaller than it are sought,
+    and the search starts at the smaller of the greedy-clique cover's size
+    and ``limit``. The result is then ``None`` when no cover smaller than
+    ``limit`` exists, and otherwise the same cover as without a cutoff.
     """
     n = g.n
+    if limit is not None and limit <= 0:
+        return None
     if n == 0:
         return set()
     if n > EXACT_LEAF_COMFORT_CAP:
@@ -161,6 +191,8 @@ def exact_leaf_solve(g: Graph | Subproblem) -> set[int]:
         )
     masks = g.adjacency_masks
     best_size, best_cover = ub_greedy_clique(g)
+    if limit is not None and limit <= best_size:
+        best_size, best_cover = limit, None
     stack = [(g.alive, 0)]  # (alive vertices, chosen cover vertices)
     while stack:
         alive, chosen = stack.pop()
@@ -191,14 +223,14 @@ def exact_leaf_solve(g: Graph | Subproblem) -> set[int]:
         if branch < 0:  # no edges left: a better cover
             best_size, best_cover = count, bits(chosen)
             continue
-        if count + greedy_matching(masks, alive) >= best_size:
+        if count + greedy_clique_partition_bound(masks, alive) >= best_size:
             continue
         nbrs = masks[branch] & alive
         # exclude v first (popped first): committing the whole
         # neighborhood shrinks fastest
         stack.append((alive & ~(1 << branch), chosen | (1 << branch)))
         stack.append((alive & ~(nbrs | (1 << branch)), chosen | nbrs))
-    return set(best_cover)
+    return None if best_cover is None else set(best_cover)
 
 
 def brute_force_oracle(g: Graph) -> int:
@@ -309,14 +341,15 @@ def _qubo_leaf_cover(graph: Graph, cfg: SolveConfig, leaf_seed: int) -> set[int]
 def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, stats: _Stats):
     """Solve one leaf; only the leaf solver's own call counts as leaf time.
 
-    The exact solver searches the subproblem itself. A QUBO leaf needs a
-    standalone graph, which is built before the leaf timer starts.
+    The exact solver searches the subproblem itself, for a cover that would
+    beat the incumbent; it returns ``None`` when there is none. A QUBO leaf
+    needs a standalone graph, which is built before the leaf timer starts.
     """
     graph = None if cfg.leaf_solver == "exact" else node.graph
     t0 = time.perf_counter()
     try:
         if graph is None:
-            cover = exact_leaf_solve(node)
+            cover = exact_leaf_solve(node, incumbent.size - len(node.committed))
         else:
             cover = _qubo_leaf_cover(graph, cfg, cfg.seed * 1_000_003 + node.ordinal)
     except Exception as exc:
@@ -328,7 +361,8 @@ def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, st
     elapsed = time.perf_counter() - t0
     if graph is not None:
         cover = node.mapping.originals(cover)
-    incumbent.offer(node.committed | cover)
+    if cover is not None:
+        incumbent.offer(node.committed | cover)
     stats.merge_leaf(node.depth, node.n, elapsed)
 
 

@@ -12,6 +12,7 @@ from vertexcover import (
     random_graph,
     ub_greedy_clique,
 )
+from vertexcover.bounds import greedy_clique_partition_bound
 
 from conftest import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
 
@@ -110,3 +111,16 @@ def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         BoundConfig(frozenset(), frozenset({"magic"}))
 
+
+
+def test_greedy_clique_partition_bound_examples_and_safety():
+    def bound(g):
+        return greedy_clique_partition_bound(g.adjacency_masks, g.alive)
+
+    assert bound(empty_graph(5)) == 0
+    assert bound(complete_graph(6)) == 5
+    assert bound(path_graph(4)) == 2
+    assert 2 <= bound(cycle_graph(5)) <= 3
+    for seed in range(30):
+        g = random_graph(4 + seed % 12, 0.2 + 0.02 * seed, seed=seed)
+        assert bound(g) <= brute_force_oracle(g)

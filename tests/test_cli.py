@@ -76,6 +76,30 @@ def test_solve_missing_file_exit_2(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "decompose", "bench-random"])
+@pytest.mark.parametrize("flags", [
+    ["--leaf-solver", "qubo-anneal", "--anneal-reads", "0"],
+    ["--anneal-sweeps", "0"],
+    ["--qpu-seconds", "-1"],
+    ["--qpu-seconds", "nan"],
+])
+def test_bad_numeric_solver_flag_exit_2(tmp_path, capsys, command, flags):
+    path = tmp_path / "k3.dimacs"
+    path.write_text(K3_DIMACS)
+    args = {
+        "solve": ["solve", str(path)],
+        "decompose": ["decompose", str(path), "--output-dir", str(tmp_path / "out")],
+        "bench-random": ["bench-random", "--n", "8", "--density", "0.5", "--reps", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main(args + flags)
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solver_abort_exit_3(tmp_path, capsys):
     from vertexcover import random_graph
 

@@ -205,6 +205,43 @@ def test_config_validation():
         SolveConfig(reductions=("qpbo",))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("anneal_reads", 0),
+    ("anneal_sweeps", 0),
+    ("qpu_seconds_per_leaf", -1.0),
+    ("qpu_seconds_per_leaf", float("nan")),
+    ("qpu_seconds_per_leaf", float("inf")),
+])
+def test_config_rejects_bad_numeric_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(**{field: value})
+
+
+def test_config_accepts_smallest_valid_numeric_settings():
+    SolveConfig(qpu_seconds_per_leaf=0.0, anneal_reads=1, anneal_sweeps=1)
+
+
+def test_exact_leaf_solve_disjoint_triangles_is_fast():
+    # the clique-partition bound is tight here; a matching bound is half of it
+    k = 1500
+    g = build_graph(3 * k, [
+        (3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))
+    ])
+    with pytest.warns(RuntimeWarning):
+        cover = exact_leaf_solve(g)
+    assert len(cover) == 2 * k
+    assert is_vertex_cover(g, cover)
+
+
+def test_exact_leaf_solve_cutoff_examples():
+    g = cycle_graph(6)  # cover number 3
+    assert exact_leaf_solve(g, 4) == exact_leaf_solve(g)
+    assert exact_leaf_solve(g, 3) is None
+    assert exact_leaf_solve(empty_graph(3), 1) == set()
+    assert exact_leaf_solve(empty_graph(3), 0) is None
+    assert exact_leaf_solve(empty_graph(0), -2) is None
+
+
 def gadget_plus_four_cycles(k: int):
     """A 6-vertex gadget (cover 3) followed by k disjoint 4-cycles (cover 2 each)."""
     edges = [(0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5)]

@@ -72,11 +72,12 @@ def tree_signatures(name: str) -> dict[str, list]:
     return out
 
 
+def leaf_graphs():
+    return [random_graph(12 + i % 20, 0.15 + 0.02 * (i % 10), seed=i) for i in range(40)]
+
+
 def leaf_covers() -> list[list[int]]:
-    return [
-        sorted(exact_leaf_solve(random_graph(12 + i % 20, 0.15 + 0.02 * (i % 10), seed=i)))
-        for i in range(40)
-    ]
+    return [sorted(exact_leaf_solve(g)) for g in leaf_graphs()]
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -90,6 +91,14 @@ def test_search_tree_matches_golden(name):
 
 def test_exact_leaf_covers_match_golden():
     assert leaf_covers() == json.loads(GOLDEN_FILE.read_text())["exact_leaf_solve"]
+
+
+def test_exact_leaf_covers_match_golden_under_a_cutoff():
+    """A cutoff one above the recorded size returns the recorded cover; at it, none."""
+    golden = json.loads(GOLDEN_FILE.read_text())["exact_leaf_solve"]
+    for g, cover in zip(leaf_graphs(), golden, strict=True):
+        assert sorted(exact_leaf_solve(g, len(cover) + 1)) == cover
+        assert exact_leaf_solve(g, len(cover)) is None
 
 
 if __name__ == "__main__":

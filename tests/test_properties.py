@@ -10,6 +10,7 @@ from vertexcover import (
     BoundConfig,
     SelectionStrategy,
     SolveConfig,
+    Subproblem,
     brute_force_oracle,
     build_graph,
     decompose_only,
@@ -68,3 +69,19 @@ def test_decompose_only_offline_completion_matches_oracle(g, cfg):
         sizes.append(len(leaf.committed) + brute_force_oracle(leaf.graph))
     assert is_vertex_cover(g, dec.incumbent_cover)
     assert min(sizes) == brute_force_oracle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1))
+def test_exact_leaf_solve_cutoff_matches_oracle(g, keep):
+    """With a cutoff the leaf solver returns None exactly when no smaller cover exists,
+    and otherwise the cover it returns without one; on a graph and on a subproblem."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    for instance, optimum in ((g, brute_force_oracle(g)), (sub, brute_force_oracle(sub.graph))):
+        unbounded = exact_leaf_solve(instance)
+        for limit in range(instance.n + 2):
+            bounded = exact_leaf_solve(instance, limit)
+            if optimum >= limit:
+                assert bounded is None
+            else:
+                assert bounded == unbounded

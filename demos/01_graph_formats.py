@@ -32,9 +32,11 @@ for fmt in ("edge_list", "matrix_market"):
     again = parse_graph(text, fmt)
     print(f"{fmt}: {len(text.splitlines())} lines, reparsed m={again.m}")
 
-# Induced subgraphs renumber densely but remember where vertices came from.
-sub, mapping = induced_subgraph(g, [0, 2, 3, 4])
-print("induced on {0,2,3,4}:", sub, "mapping:", mapping.forward)
+# Induced subgraphs renumber densely: vertex i is the i-th smallest kept id.
+keep = [0, 2, 3, 4]
+sub = induced_subgraph(g, keep)
+print("induced on", keep, ":", sub, "edges in original ids:",
+      [(keep[u], keep[v]) for u, v in sub.edges()])
 
 # Seeded generators: by edge density, or by target average degree.
 r1 = random_graph(80, 0.25, seed=7)

@@ -10,7 +10,6 @@ and reductions along the way, keeps the search exact.
 import statistics
 
 from vertexcover import (
-    SelectionStrategy,
     SolveConfig,
     brute_force_oracle,
     decompose_only,
@@ -33,7 +32,7 @@ for leaf_solver in ("exact", "qubo_exhaustive", "qubo_anneal"):
 print("\nselection strategy vs tree size (n=60, density 0.3, leaf size 46):")
 g = random_graph(60, 0.3, seed=9)
 for kind in ("lowest_degree", "highest_degree", "median_degree", "random"):
-    cfg = SolveConfig(strategy=SelectionStrategy(kind, seed=9), seed=9)
+    cfg = SolveConfig(strategy=kind, seed=9)
     result = solve(g, cfg)
     print(f"{kind:>15}: {result.leaf_count:>3} leaves, "
           f"{result.subproblems_generated:>4} subproblems, size {result.size}")

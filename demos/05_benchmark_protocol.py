@@ -1,33 +1,18 @@
 #!/usr/bin/env python3
 """The benchmark protocol, in miniature: seeded sweeps over a size grid.
 
-Rows average several repetitions per parameter point, mirroring what the
-CLI's bench-random command emits as CSV. Leaf-size presets correspond to
-the largest complete graph embeddable on three annealer generations.
+The grid runs through the CLI's bench-random command, which averages
+several seeded repetitions per parameter point into one CSV row.
+Leaf-size presets correspond to the largest complete graph embeddable on
+three annealer generations.
 """
 
 from vertexcover import LEAF_SIZE_PRESETS, SolveConfig, random_graph_avg_degree, solve
+from vertexcover.cli import main
 
-REPS = 3
-SIZES = (50, 60, 70, 80)
-DEGREES = (10, 20)
-
-print("label,n,m,preprocessing_seconds,leaf_count,solution_seconds,cover_size")
-for n in SIZES:
-    for degree in DEGREES:
-        acc = {"m": 0.0, "pre": 0.0, "leaves": 0.0, "sol": 0.0, "size": 0.0}
-        for rep in range(REPS):
-            seed = n * 1000 + degree * 10 + rep
-            g = random_graph_avg_degree(n, degree, seed=seed)
-            result = solve(g, SolveConfig(seed=seed))
-            acc["m"] += g.m
-            acc["pre"] += result.preprocessing_seconds
-            acc["leaves"] += result.leaf_count
-            acc["sol"] += result.solution_seconds
-            acc["size"] += result.size
-        print(f"rand-n{n}-deg{degree},{n},{acc['m']/REPS:.1f},"
-              f"{acc['pre']/REPS:.4f},{acc['leaves']/REPS:.1f},"
-              f"{acc['sol']/REPS:.3f},{acc['size']/REPS:.1f}")
+code = main(["bench-random", "--n", "50:80:10", "--avg-degree", "10,20", "--reps", "3"])
+if code:
+    raise SystemExit(code)
 
 print("\nleaf-size presets (largest embeddable complete graph per machine):")
 g = random_graph_avg_degree(90, 30, seed=4242)

@@ -38,7 +38,6 @@ from .graphs import (
     FORMATS,
     Graph,
     GraphParseError,
-    VertexMapping,
     build_graph,
     induced_subgraph,
     parse_graph,
@@ -66,7 +65,6 @@ from .reductions import (
 )
 from .splitting import (
     SELECTION_KINDS,
-    SelectionStrategy,
     Subproblem,
     select_vertex,
     split,
@@ -90,12 +88,10 @@ __all__ = [
     "Qubo",
     "ReductionOutcome",
     "SELECTION_KINDS",
-    "SelectionStrategy",
     "SolveConfig",
     "SolveResult",
     "Subproblem",
     "UPPER_METHODS",
-    "VertexMapping",
     "brute_force_oracle",
     "build_graph",
     "build_mvc_qubo",

@@ -5,12 +5,11 @@ turned around (cover size = n - independent set size), so all bounds are
 safe on every input. Bounds are pure functions of the graph and fully
 deterministic.
 
-The combinatorial bounds take a Graph or a Subproblem alike: they read only
+Every bound takes a Graph or a Subproblem alike: it reads only
 ``adjacency_masks``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
-and ``n``, and return vertex ids of the object they were given. A
+and ``n``, and any vertex ids it returns are those of what it was given. A
 subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
-itself, so no complement graph is built. The spectral bound takes a Graph,
-which ``combine_bounds`` builds only when that bound is enabled.
+itself, so no complement graph is built, and no bound builds a Graph.
 
 The one upper bound, ``greedy_clique``, comes with a witness cover that
 attains it; the solver offers that cover to its incumbent.
@@ -122,14 +121,26 @@ def lb_min_degree(g) -> int:
     return min((degrees[v] for v in g.vertices()), default=0)
 
 
-def lb_spectral(g: Graph) -> int:
-    """Eigenvalue inertia bound: independent sets have at most n0 + min(n+, n-) vertices."""
-    n = g.n
-    if n == 0 or g.m == 0:
+def lb_spectral(g) -> int:
+    """Eigenvalue inertia bound: independent sets have at most n0 + min(n+, n-) vertices.
+
+    The adjacency matrix lists the alive vertices in ascending id order.
+    """
+    masks, alive = g.adjacency_masks, g.alive
+    index = {v: i for i, v in enumerate(g.vertices())}
+    rows, cols = [], []
+    for v, i in index.items():
+        nbrs = masks[v] & alive
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            rows.append(i)
+            cols.append(index[low.bit_length() - 1])
+    if not rows:
         return 0
+    n = len(index)
     a = np.zeros((n, n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
+    a[rows, cols] = 1.0
     try:
         eigs = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError:
@@ -179,25 +190,22 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     return len(cover), cover
 
 
-_MASK_LOWER_BOUNDS = {
-    "matching_half": lb_matching_half,
-    "min_degree": lb_min_degree,
-    "coloring": lb_coloring,
-}
-
-
 def combine_bounds(g: Graph | Subproblem, cfg: BoundConfig) -> BoundsReport:
     """Best enabled lower and upper bounds, with the trivial 0 and n fallbacks.
 
     The greedy-clique witness attains the reported upper bound whenever that
     bound is enabled; its ids are those of ``g``.
     """
+    lower = cfg.lower_methods
     lower_parts = {}
-    for name in sorted(cfg.lower_methods):
-        if name == "spectral":
-            lower_parts[name] = lb_spectral(g if isinstance(g, Graph) else g.graph)
-        else:
-            lower_parts[name] = _MASK_LOWER_BOUNDS[name](g)
+    if "coloring" in lower:
+        lower_parts["coloring"] = lb_coloring(g)
+    if "matching_half" in lower:
+        lower_parts["matching_half"] = lb_matching_half(g)
+    if "min_degree" in lower:
+        lower_parts["min_degree"] = lb_min_degree(g)
+    if "spectral" in lower:
+        lower_parts["spectral"] = lb_spectral(g)
 
     upper_parts: dict[str, int] = {}
     witness: frozenset[int] | None = None

@@ -25,7 +25,6 @@ from .engine import (
 )
 from .graphs import GraphParseError, parse_graph, random_graph, random_graph_avg_degree, serialize_graph
 from .qubo import build_mvc_qubo, export_qubo
-from .splitting import SelectionStrategy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,7 +100,7 @@ def _config_from_args(args: argparse.Namespace, seed: int | None = None) -> Solv
     try:
         return SolveConfig(
             leaf_size=args.leaf_size,
-            strategy=SelectionStrategy(kind=_SELECT_KINDS[args.select], seed=seed),
+            strategy=_SELECT_KINDS[args.select],
             bounds=BoundConfig(
                 lower_methods=_LOWER_CHOICES[args.lower_bound],
                 upper_methods=_UPPER_CHOICES[args.upper_bound],
@@ -213,6 +212,17 @@ def cmd_bench_random(args: argparse.Namespace) -> int:
             params = [("density", d) for d in _parse_point_list(args.density)]
         else:
             params = [("avg_degree", d) for d in _parse_point_list(args.avg_degree)]
+        # the whole grid, with the generators' own limits, before any graph is built
+        if not sizes or not params:
+            raise ValueError("the grid has no points")
+        for n in sizes:
+            if n < 0:
+                raise ValueError(f"--n must be non-negative, got {n}")
+            for kind, value in params:
+                top = 1 if kind == "density" else max(n - 1, 0)
+                if not 0 <= value <= top:
+                    flag = "--density" if kind == "density" else "--avg-degree"
+                    raise ValueError(f"{flag} {value:g} is outside [0, {top}] for --n {n}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -310,7 +320,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "n": leaf.n,
                 "committed_count": len(leaf.committed),
                 "committed": sorted(leaf.committed),
-                "mapping": list(leaf.mapping.forward),
+                "mapping": leaf.vertices(),
             })
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     except OSError as exc:

@@ -45,7 +45,7 @@ from .bounds import (
 from .graphs import Graph, bits
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
 from .reductions import known_reductions, reduce_chain
-from .splitting import SelectionStrategy, Subproblem, select_vertex, split
+from .splitting import SELECTION_KINDS, Subproblem, select_vertex, split
 
 __all__ = [
     "SolveConfig",
@@ -76,13 +76,14 @@ class EngineError(RuntimeError):
 class SolveConfig:
     """Everything that shapes a solve run.
 
-    ``strategy`` defaults to highest-degree selection seeded by ``seed``.
+    ``strategy`` names the split vertex rule, one of ``SELECTION_KINDS``.
+    ``seed`` seeds both its tie-breaks and the annealer.
     ``qpu_seconds_per_leaf`` is the modeled per-leaf annealer access cost
     used for the solution-time metric.
     """
 
     leaf_size: int = 46
-    strategy: SelectionStrategy | None = None
+    strategy: str = "highest_degree"
     bounds: BoundConfig = field(default_factory=BoundConfig)
     reductions: tuple[str, ...] = ("neighbor",)
     leaf_solver: str = "exact"
@@ -94,6 +95,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.leaf_size < 1:
             raise ValueError(f"leaf_size must be at least 1, got {self.leaf_size}")
+        if self.strategy not in SELECTION_KINDS:
+            raise ValueError(
+                f"unknown selection kind {self.strategy!r}; expected one of {SELECTION_KINDS}"
+            )
         if self.leaf_solver not in LEAF_SOLVERS:
             raise ValueError(
                 f"unknown leaf solver {self.leaf_solver!r}; expected one of {LEAF_SOLVERS}"
@@ -111,10 +116,6 @@ class SolveConfig:
             raise ValueError(
                 "qpu_seconds_per_leaf must be finite and non-negative, "
                 f"got {self.qpu_seconds_per_leaf}"
-            )
-        if self.strategy is None:
-            object.__setattr__(
-                self, "strategy", SelectionStrategy(seed=self.seed)
             )
 
 
@@ -360,7 +361,8 @@ def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, st
         ) from exc
     elapsed = time.perf_counter() - t0
     if graph is not None:
-        cover = node.mapping.originals(cover)
+        ids = node.vertices()
+        cover = {ids[v] for v in cover}
     if cover is not None:
         incumbent.offer(node.committed | cover)
     stats.merge_leaf(node.depth, node.n, elapsed)
@@ -395,7 +397,7 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
         if report.witness_cover is not None:
             incumbent.offer(node.committed | report.witness_cover)
 
-        v = select_vertex(node, cfg.strategy)
+        v = select_vertex(node, cfg.strategy, cfg.seed)
         s_plus, s_minus = split(node, v)
         stats.generated[s_plus.depth] += 2
         stack.append(replace(s_minus, ordinal=ordinal + 2))

@@ -1,14 +1,14 @@
 """Undirected simple graphs: representation, generators, and file formats.
 
 Vertex ids are always the dense range 0..n-1. Parsers normalize arbitrary
-input labels to that range; ``VertexMapping`` tracks provenance when a graph
-is carved out of a larger one. ``bits`` lists the vertices of a bitmask,
-the form the solver's hot loops work in.
+input labels to that range, and ``induced_subgraph`` renumbers the vertices
+it keeps in ascending order. ``bits`` lists the vertices of a bitmask, the
+form the solver's hot loops work in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "VertexMapping",
     "bits",
     "GraphParseError",
     "parse_graph",
@@ -107,30 +106,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(tuple(frozenset(s) for s in adj))
 
 
-@dataclass(frozen=True)
-class VertexMapping:
-    """Maps subgraph vertex ids to ids of the graph they were carved from."""
-
-    forward: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.forward)) != len(self.forward):
-            raise ValueError("vertex mapping must be injective")
-
-    def original(self, v: int) -> int:
-        return self.forward[v]
-
-    def originals(self, vs: Iterable[int]) -> set[int]:
-        return {self.forward[v] for v in vs}
-
-
 def bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, VertexMapping]:
-    """Subgraph on ``keep``, renumbered to 0..k-1 in ascending original order."""
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
+    """Subgraph on ``keep``; its vertex i is ``sorted(set(keep))[i]``."""
     kept = sorted(set(keep))
     for v in kept:
         if not (0 <= v < g.n):
@@ -140,11 +122,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, VertexMappin
         frozenset(index[u] for u in g.adjacency[orig] if u in index)
         for orig in kept
     )
-    return Graph(adj), VertexMapping(tuple(kept))
+    return Graph(adj)
 
 
 def random_graph(n: int, density: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with p = density, deterministic per seed."""
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     rng = np.random.default_rng(seed)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP = 30
+ANNEAL_T_END = 1e-3
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,15 @@ def _energies_for_block(q: Qubo, indices: np.ndarray) -> np.ndarray:
     return energies
 
 
-def solve_exhaustive(q: Qubo, cap: int = EXHAUSTIVE_CAP) -> tuple[np.ndarray, float]:
+def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
     """Global minimum by sweeping all 2^n assignments.
 
     Ties go to the assignment with the lowest binary value (variable i is
-    bit i). Refuses instances above ``cap`` variables.
+    bit i). Refuses instances above ``EXHAUSTIVE_CAP`` variables.
     """
-    if q.n > cap:
+    if q.n > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"{q.n} variables exceeds the exhaustive cap of {cap}; "
+            f"{q.n} variables exceeds the exhaustive cap of {EXHAUSTIVE_CAP}; "
             "use solve_anneal for larger instances"
         )
     if q.n == 0:
@@ -140,13 +141,12 @@ def solve_anneal(
     reads: int = 100,
     sweeps: int = 100,
     seed: int = 0,
-    t_start: float | None = None,
-    t_end: float = 1e-3,
 ) -> tuple[np.ndarray, float]:
     """Simulated annealing over ``reads`` independent restarts.
 
     Each restart runs single-bit-flip Metropolis sweeps under a geometric
-    temperature schedule. Heuristic: the result is always a feasible
+    temperature schedule from the largest coefficient magnitude down to
+    ``ANNEAL_T_END``. Heuristic: the result is always a feasible
     assignment but not necessarily the global minimum. Deterministic for a
     fixed seed.
     """
@@ -158,8 +158,7 @@ def solve_anneal(
     linear = np.asarray(q.linear)
     neighbors = _neighbor_lists(q)
     coeffs = [abs(c) for c in q.linear] + [abs(c) for c in q.quadratic.values()]
-    if t_start is None:
-        t_start = max(max(coeffs, default=1.0), 1e-3)
+    t_start = max(max(coeffs, default=1.0), 1e-3)
 
     x = rng.integers(0, 2, size=(reads, q.n)).astype(np.float64)
     energies = np.full(reads, q.offset) + x @ linear
@@ -169,7 +168,7 @@ def solve_anneal(
     best_x = x.copy()
 
     if sweeps > 1:
-        ratio = (t_end / t_start) ** (1.0 / (sweeps - 1))
+        ratio = (ANNEAL_T_END / t_start) ** (1.0 / (sweeps - 1))
     else:
         ratio = 1.0
     temperature = t_start

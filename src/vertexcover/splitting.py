@@ -13,11 +13,10 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, VertexMapping, bits, induced_subgraph
+from .graphs import Graph, bits, induced_subgraph
 
 __all__ = [
     "Subproblem",
-    "SelectionStrategy",
     "SELECTION_KINDS",
     "select_vertex",
     "split",
@@ -34,8 +33,9 @@ class Subproblem:
     subproblem hands out or takes is a ``base`` id. Degrees come from
     ``base``'s fixed adjacency masks restricted to ``alive``, so deleting
     vertices builds no graph. ``committed`` holds ids already decided to be
-    in the cover; they are never alive. ``graph`` and ``mapping`` build the
-    residual as a standalone graph on 0..n-1, for leaf solvers and files.
+    in the cover; they are never alive. ``graph`` builds the residual as a
+    standalone graph on 0..n-1 for leaf solvers and files; its vertex i is
+    ``vertices()[i]``.
     """
 
     base: Graph
@@ -72,57 +72,38 @@ class Subproblem:
         Built afresh on every access and not kept, so a list of leaves
         holds no graphs.
         """
-        return induced_subgraph(self.base, self.vertices())[0]
-
-    @property
-    def mapping(self) -> VertexMapping:
-        """Maps ``graph``'s vertex ids back to ``base`` ids."""
-        return VertexMapping(tuple(self.vertices()))
+        return induced_subgraph(self.base, self.vertices())
 
 
-@dataclass(frozen=True)
-class SelectionStrategy:
-    """How to pick the split vertex; ties are broken by a seeded draw."""
+def select_vertex(s: Subproblem, kind: str, seed: int) -> int:
+    """Pick the split vertex of the residual graph by the rule ``kind``.
 
-    kind: str = "highest_degree"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SELECTION_KINDS:
-            raise ValueError(
-                f"unknown selection kind {self.kind!r}; expected one of {SELECTION_KINDS}"
-            )
-
-
-def _tie_break_rng(strategy: SelectionStrategy, s: Subproblem) -> random.Random:
-    # Mix (seed, depth, ordinal) into one integer so runs are reproducible
-    # regardless of traversal interleaving.
-    key = (strategy.seed * 1_000_003 + s.depth) * 1_000_003 + s.ordinal
-    return random.Random(key)
-
-
-def select_vertex(s: Subproblem, strategy: SelectionStrategy) -> int:
-    """Pick the split vertex of the residual graph under the strategy.
-
-    Tie candidates are listed in ascending id order before the seeded draw.
+    Tie candidates are listed in ascending id order; the draw among them is
+    seeded by (seed, depth, ordinal), so it does not depend on the order in
+    which nodes are visited.
     """
     degrees = s.degrees
     if not degrees:
         raise ValueError("cannot select a vertex from an empty graph")
-    if strategy.kind == "random":
+    if kind == "random":
         candidates = list(degrees)
     else:
-        if strategy.kind == "lowest_degree":
+        if kind == "lowest_degree":
             target = min(degrees.values())
-        elif strategy.kind == "highest_degree":
+        elif kind == "highest_degree":
             target = max(degrees.values())
-        else:  # median_degree
+        elif kind == "median_degree":
             order = sorted(degrees, key=degrees.__getitem__)
             target = degrees[order[len(order) // 2]]
+        else:
+            raise ValueError(
+                f"unknown selection kind {kind!r}; expected one of {SELECTION_KINDS}"
+            )
         candidates = [v for v, d in degrees.items() if d == target]
     if len(candidates) == 1:
         return candidates[0]
-    return _tie_break_rng(strategy, s).choice(candidates)
+    key = (seed * 1_000_003 + s.depth) * 1_000_003 + s.ordinal
+    return random.Random(key).choice(candidates)
 
 
 def split(s: Subproblem, v: int) -> tuple[Subproblem, Subproblem]:

@@ -11,7 +11,6 @@ import time
 
 from vertexcover import (
     BoundConfig,
-    SelectionStrategy,
     SolveConfig,
     brute_force_oracle,
     build_mvc_qubo,
@@ -61,7 +60,7 @@ def test_criterion_1_oracle_exactness(corpus_n24):
         g, oracle = corpus_n24[i % len(corpus_n24)]
         cfg = SolveConfig(
             leaf_size=leaf_size,
-            strategy=SelectionStrategy(strategy, seed=i),
+            strategy=strategy,
             bounds=bounds,
             reductions=chain,
             leaf_solver=solver,
@@ -199,7 +198,7 @@ def test_criterion_9_benchmark_cross_strategy():
     t0 = time.perf_counter()
     sizes = {}
     for kind in ("highest_degree", "lowest_degree"):
-        cfg = SolveConfig(strategy=SelectionStrategy(kind, seed=1), seed=1)
+        cfg = SolveConfig(strategy=kind, seed=1)
         result = solve(g, cfg)
         assert is_vertex_cover(g, result.cover)
         sizes[kind] = result.size

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from vertexcover import (
     BoundConfig,
+    Subproblem,
     brute_force_oracle,
     combine_bounds,
     is_vertex_cover,
@@ -83,6 +86,18 @@ def test_bounds_safety_against_oracle(corpus_n16):
         assert size >= oracle
         assert len(witness) == size
         assert is_vertex_cover(g, witness)
+
+
+def test_spectral_on_subproblem_matches_its_graph(corpus_n16):
+    """The mask form builds the same matrix as the renumbered residual graph."""
+    rng = random.Random(5)
+    for g, _ in corpus_n16:
+        sub = Subproblem(base=g, alive=rng.getrandbits(g.n))
+        assert lb_spectral(sub) == lb_spectral(sub.graph)
+    # a residual that keeps edges, to rule out agreement by emptiness alone
+    g = complete_graph(6)
+    sub = Subproblem(base=g, alive=0b110101)
+    assert lb_spectral(sub) == lb_spectral(sub.graph) == lb_spectral(complete_graph(4))
 
 
 def test_lower_never_exceeds_upper_when_sound(corpus_n16):

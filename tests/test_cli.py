@@ -12,6 +12,7 @@ from vertexcover import (
     parse_qubo,
     serialize_graph,
 )
+from vertexcover import cli
 from vertexcover.cli import main
 
 from conftest import complete_graph
@@ -265,6 +266,32 @@ def test_bench_random_requires_one_parameter(capsys):
     code, _, err = run_cli(capsys, ["bench-random", "--n", "10", "--reps", "1"])
     assert code == 2
     assert "density" in err
+
+
+@pytest.mark.parametrize("grid", [
+    ["--n", "10", "--avg-degree", "9.5"],  # above n - 1
+    ["--n", "30,10", "--avg-degree", "20"],  # valid for the first size only
+    ["--n", "10", "--density", "1.5"],
+    ["--n", "10", "--density", "-0.1"],
+    ["--n", "-3", "--density", "0.5"],
+    ["--n", "-3", "--avg-degree", "0"],
+    ["--n", "10:2:1", "--density", "0.5"],  # empty range
+    ["--n", "10", "--density", ""],
+])
+def test_bench_random_rejects_bad_grid_before_solving(tmp_path, capsys, monkeypatch, grid):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the grid was checked")
+
+    monkeypatch.setattr(cli, "random_graph", no_graph)
+    monkeypatch.setattr(cli, "random_graph_avg_degree", no_graph)
+    output = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, ["bench-random", *grid, "--reps", "1", "--output", str(output)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not output.exists()
 
 
 def test_bench_random_rejects_bad_range(capsys):

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 import sys
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from vertexcover import (
     BoundConfig,
     EngineError,
-    SelectionStrategy,
     SolveConfig,
     brute_force_oracle,
     build_graph,
@@ -17,6 +17,7 @@ from vertexcover import (
     random_graph,
     solve,
 )
+from vertexcover import engine
 
 from conftest import (
     complete_graph,
@@ -90,7 +91,7 @@ def test_solve_matches_oracle_across_configs():
     for strat, bounds, reds in itertools.product(strategies, bound_cfgs, reductions):
         cfg = SolveConfig(
             leaf_size=5,
-            strategy=SelectionStrategy(strat, seed=2),
+            strategy=strat,
             bounds=bounds,
             reductions=reds,
             seed=2,
@@ -264,3 +265,29 @@ def test_exact_leaf_solve_depth_not_bounded_by_recursion_limit():
         sys.setrecursionlimit(limit)
     assert len(cover) == 3 + 2 * k
     assert is_vertex_cover(g, cover)
+
+
+def test_random_strategy_draws_from_config_seed(monkeypatch):
+    """With strategy="random" every split vertex is the draw keyed by
+    (SolveConfig.seed, depth, ordinal) from the node's vertices, so that seed
+    alone decides the tree; different seeds give different trees."""
+    g = random_graph(40, 0.2, seed=17)
+    original = engine.select_vertex
+    picks = []
+
+    def recording_select(node, kind, seed):
+        v = original(node, kind, seed)
+        picks.append((node, v))
+        return v
+
+    monkeypatch.setattr(engine, "select_vertex", recording_select)
+    trees = set()
+    for seed in range(4):
+        picks.clear()
+        solve(g, SolveConfig(leaf_size=8, strategy="random", seed=seed))
+        assert len(picks) > 10
+        for node, v in picks:
+            key = (seed * 1_000_003 + node.depth) * 1_000_003 + node.ordinal
+            assert v == random.Random(key).choice(node.vertices())
+        trees.add(tuple(v for _, v in picks))
+    assert len(trees) == 4

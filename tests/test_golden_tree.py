@@ -20,7 +20,6 @@ import pytest
 from vertexcover import (
     SELECTION_KINDS,
     BoundConfig,
-    SelectionStrategy,
     SolveConfig,
     decompose_only,
     exact_leaf_solve,
@@ -50,7 +49,7 @@ def tree_signatures(name: str) -> dict[str, list]:
     for kind, chain, bounds in itertools.product(SELECTION_KINDS, CHAINS, BOUNDS):
         cfg = SolveConfig(
             leaf_size=leaf_size,
-            strategy=SelectionStrategy(kind, seed=3),
+            strategy=kind,
             bounds=BOUNDS[bounds],
             reductions=chain,
             seed=3,

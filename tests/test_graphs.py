@@ -76,24 +76,23 @@ def test_parse_errors_name_line(text, format, bad_line):
 
 
 def test_induced_subgraph_complete():
-    g, mapping = induced_subgraph(complete_graph(4), [0, 1, 3])
+    g = induced_subgraph(complete_graph(4), [0, 1, 3])
     assert g.n == 3
     assert g.m == 3
-    assert mapping.forward == (0, 1, 3)
 
 
 def test_induced_subgraph_identity():
     g = random_graph(12, 0.5, seed=1)
-    sub, mapping = induced_subgraph(g, range(12))
+    sub = induced_subgraph(g, range(12))
     assert sub.adjacency == g.adjacency
-    assert mapping.forward == tuple(range(12))
 
 
 def test_induced_subgraph_path():
-    sub, mapping = induced_subgraph(path_graph(4), [0, 2, 3])
-    # vertex 0 isolated, edge between old 2 and 3
-    originals = {tuple(sorted((mapping.original(u), mapping.original(v))))
-                 for u, v in sub.edges()}
+    keep = [3, 0, 2]
+    sub = induced_subgraph(path_graph(4), keep)
+    # vertex i is sorted(keep)[i]: 0 isolated, an edge between old 2 and 3
+    ids = sorted(keep)
+    originals = {(ids[u], ids[v]) for u, v in sub.edges()}
     assert originals == {(2, 3)}
     assert sub.n == 3
 
@@ -106,6 +105,14 @@ def test_induced_subgraph_unknown_vertex():
 def test_random_graph_extremes():
     assert random_graph(5, 0.0, seed=3).m == 0
     assert random_graph(5, 1.0, seed=3).m == 10
+
+
+def test_random_graph_rejects_negative_size():
+    assert random_graph(0, 0.5, seed=3).n == 0
+    with pytest.raises(ValueError):
+        random_graph(-3, 0.5, seed=3)
+    with pytest.raises(ValueError):
+        random_graph_avg_degree(-3, 0, seed=3)
 
 
 def test_random_graph_deterministic():

@@ -8,7 +8,6 @@ from vertexcover import (
     SELECTION_KINDS,
     UPPER_METHODS,
     BoundConfig,
-    SelectionStrategy,
     SolveConfig,
     Subproblem,
     brute_force_oracle,
@@ -31,11 +30,7 @@ def graphs(draw, max_n: int = 14):
 configs = st.builds(
     SolveConfig,
     leaf_size=st.integers(1, 14),
-    strategy=st.builds(
-        SelectionStrategy,
-        kind=st.sampled_from(SELECTION_KINDS),
-        seed=st.integers(0, 1000),
-    ),
+    strategy=st.sampled_from(SELECTION_KINDS),
     bounds=st.builds(
         BoundConfig,
         lower_methods=st.frozensets(st.sampled_from(LOWER_METHODS)),
@@ -63,8 +58,9 @@ def test_decompose_only_offline_completion_matches_oracle(g, cfg):
     dec = decompose_only(g, cfg)
     sizes = [dec.incumbent_size]
     for leaf in dec.leaves:
-        assert not leaf.committed & set(leaf.mapping.forward)
-        completion = leaf.committed | leaf.mapping.originals(exact_leaf_solve(leaf.graph))
+        ids = leaf.vertices()
+        assert not leaf.committed & set(ids)
+        completion = leaf.committed | {ids[v] for v in exact_leaf_solve(leaf.graph)}
         assert is_vertex_cover(g, completion)
         sizes.append(len(leaf.committed) + brute_force_oracle(leaf.graph))
     assert is_vertex_cover(g, dec.incumbent_cover)

@@ -1,7 +1,7 @@
 import pytest
 
 from vertexcover import (
-    SelectionStrategy,
+    SolveConfig,
     Subproblem,
     brute_force_oracle,
     random_graph,
@@ -14,46 +14,46 @@ from conftest import complete_graph, empty_graph, path_graph, star_graph
 
 def test_select_highest_degree_star():
     s = Subproblem.root(star_graph(4))
-    assert select_vertex(s, SelectionStrategy("highest_degree", seed=1)) == 0
+    assert select_vertex(s, "highest_degree", 1) == 0
 
 
 def test_select_all_ties_stable():
     s = Subproblem.root(complete_graph(5))
     for kind in ("lowest_degree", "highest_degree", "median_degree", "random"):
-        strategy = SelectionStrategy(kind, seed=9)
-        first = select_vertex(s, strategy)
-        assert all(select_vertex(s, strategy) == first for _ in range(5))
+        first = select_vertex(s, kind, 9)
+        assert all(select_vertex(s, kind, 9) == first for _ in range(5))
 
 
 def test_select_lowest_degree_path_tie():
     s = Subproblem.root(path_graph(3))
     for seed in range(6):
-        v = select_vertex(s, SelectionStrategy("lowest_degree", seed=seed))
+        v = select_vertex(s, "lowest_degree", seed)
         assert v in (0, 2)
-        assert select_vertex(s, SelectionStrategy("lowest_degree", seed=seed)) == v
+        assert select_vertex(s, "lowest_degree", seed) == v
 
 
 def test_select_median_degree_path4():
     # degrees (1, 2, 2, 1): sorted order puts a degree-2 vertex at index 2
     s = Subproblem.root(path_graph(4))
-    assert select_vertex(s, SelectionStrategy("median_degree", seed=0)) in (1, 2)
+    assert select_vertex(s, "median_degree", 0) in (1, 2)
 
 
 def test_select_seed_changes_tie_choice():
     s = Subproblem.root(complete_graph(30))
-    picks = {select_vertex(s, SelectionStrategy("random", seed=seed))
-             for seed in range(12)}
+    picks = {select_vertex(s, "random", seed) for seed in range(12)}
     assert len(picks) > 1
 
 
 def test_select_empty_graph_errors():
     with pytest.raises(ValueError):
-        select_vertex(Subproblem.root(empty_graph(0)), SelectionStrategy())
+        select_vertex(Subproblem.root(empty_graph(0)), "highest_degree", 0)
 
 
 def test_unknown_strategy_kind():
-    with pytest.raises(ValueError):
-        SelectionStrategy("best_degree")
+    with pytest.raises(ValueError, match="best_degree"):
+        SolveConfig(strategy="best_degree")
+    with pytest.raises(ValueError, match="best_degree"):
+        select_vertex(Subproblem.root(path_graph(3)), "best_degree", 0)
 
 
 def test_split_triangle():
@@ -118,7 +118,7 @@ def test_split_bookkeeping_monotone_and_disjoint():
     node = Subproblem.root(g)
     seen = set()
     while node.graph.n > 0:
-        v = select_vertex(node, SelectionStrategy("highest_degree", seed=3))
+        v = select_vertex(node, "highest_degree", 3)
         s_plus, s_minus = split(node, v)
         for child in (s_plus, s_minus):
             increment = child.committed - node.committed

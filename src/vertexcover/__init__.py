@@ -9,14 +9,10 @@ the rest along the way.
 """
 
 from .bounds import (
-    BoundConfig,
-    BoundsReport,
     LOWER_METHODS,
-    UPPER_METHODS,
     combine_bounds,
     lb_coloring,
     lb_matching_half,
-    lb_min_degree,
     lb_spectral,
     ub_greedy_clique,
 )
@@ -57,8 +53,8 @@ from .qubo import (
     solve_exhaustive,
 )
 from .reductions import (
+    REDUCTIONS,
     ReductionOutcome,
-    known_reductions,
     reduce_chain,
     reduce_dominance,
     reduce_neighbor,
@@ -73,8 +69,6 @@ from .splitting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConfig",
-    "BoundsReport",
     "DecomposeResult",
     "DepthStats",
     "EngineError",
@@ -86,12 +80,12 @@ __all__ = [
     "LEAF_SOLVERS",
     "LOWER_METHODS",
     "Qubo",
+    "REDUCTIONS",
     "ReductionOutcome",
     "SELECTION_KINDS",
     "SolveConfig",
     "SolveResult",
     "Subproblem",
-    "UPPER_METHODS",
     "brute_force_oracle",
     "build_graph",
     "build_mvc_qubo",
@@ -103,10 +97,8 @@ __all__ = [
     "export_qubo",
     "induced_subgraph",
     "is_vertex_cover",
-    "known_reductions",
     "lb_coloring",
     "lb_matching_half",
-    "lb_min_degree",
     "lb_spectral",
     "parse_graph",
     "parse_qubo",

@@ -12,12 +12,11 @@ subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
 itself, so no complement graph is built, and no bound builds a Graph.
 
 The one upper bound, ``greedy_clique``, comes with a witness cover that
-attains it; the solver offers that cover to its incumbent.
+attains it; with ``SolveConfig.clique_upper_bound`` set, the solver offers
+that cover to its incumbent.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,56 +24,16 @@ from .graphs import Graph, bits
 from .splitting import Subproblem
 
 __all__ = [
-    "BoundsReport",
-    "BoundConfig",
     "LOWER_METHODS",
-    "UPPER_METHODS",
     "greedy_clique_partition_bound",
     "lb_matching_half",
-    "lb_min_degree",
     "lb_spectral",
     "lb_coloring",
     "ub_greedy_clique",
     "combine_bounds",
 ]
 
-LOWER_METHODS = ("matching_half", "spectral", "min_degree", "coloring")
-UPPER_METHODS = ("greedy_clique",)
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """Which bound methods are active. Empty sets fall back to 0 and n."""
-
-    lower_methods: frozenset[str] = frozenset(("coloring",))
-    upper_methods: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower_methods", frozenset(self.lower_methods))
-        object.__setattr__(self, "upper_methods", frozenset(self.upper_methods))
-        for name in self.lower_methods:
-            if name not in LOWER_METHODS:
-                raise ValueError(f"unknown lower bound method {name!r}")
-        for name in self.upper_methods:
-            if name not in UPPER_METHODS:
-                raise ValueError(f"unknown upper bound method {name!r}")
-
-    @classmethod
-    def none(cls) -> "BoundConfig":
-        return cls(frozenset(), frozenset())
-
-    @classmethod
-    def all(cls) -> "BoundConfig":
-        return cls(frozenset(LOWER_METHODS), frozenset(UPPER_METHODS))
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    lower: int
-    upper: int
-    lower_parts: dict[str, int] = field(default_factory=dict)
-    upper_parts: dict[str, int] = field(default_factory=dict)
-    witness_cover: frozenset[int] | None = None
+LOWER_METHODS = ("matching_half", "spectral", "coloring")
 
 
 def greedy_clique_partition_bound(masks, alive: int) -> int:
@@ -113,12 +72,6 @@ def lb_matching_half(g) -> int:
             alive ^= nbrs & -nbrs
             matched += 1
     return matched
-
-
-def lb_min_degree(g) -> int:
-    """Minimum degree; any independent set leaves at least that many outside."""
-    degrees = g.degrees
-    return min((degrees[v] for v in g.vertices()), default=0)
 
 
 def lb_spectral(g) -> int:
@@ -190,31 +143,13 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     return len(cover), cover
 
 
-def combine_bounds(g: Graph | Subproblem, cfg: BoundConfig) -> BoundsReport:
-    """Best enabled lower and upper bounds, with the trivial 0 and n fallbacks.
-
-    The greedy-clique witness attains the reported upper bound whenever that
-    bound is enabled; its ids are those of ``g``.
-    """
-    lower = cfg.lower_methods
-    lower_parts = {}
-    if "coloring" in lower:
-        lower_parts["coloring"] = lb_coloring(g)
-    if "matching_half" in lower:
-        lower_parts["matching_half"] = lb_matching_half(g)
-    if "min_degree" in lower:
-        lower_parts["min_degree"] = lb_min_degree(g)
-    if "spectral" in lower:
-        lower_parts["spectral"] = lb_spectral(g)
-
-    upper_parts: dict[str, int] = {}
-    witness: frozenset[int] | None = None
-    if "greedy_clique" in cfg.upper_methods:
-        upper_parts["greedy_clique"], witness = ub_greedy_clique(g)
-    return BoundsReport(
-        lower=max(lower_parts.values(), default=0),
-        upper=min(upper_parts.values(), default=g.n),
-        lower_parts=lower_parts,
-        upper_parts=upper_parts,
-        witness_cover=witness,
-    )
+def combine_bounds(g: Graph | Subproblem, names) -> int:
+    """Best of the named lower bounds (``LOWER_METHODS``), or 0 when none is named."""
+    best = 0
+    if "coloring" in names:
+        best = lb_coloring(g)
+    if "matching_half" in names:
+        best = max(best, lb_matching_half(g))
+    if "spectral" in names:
+        best = max(best, lb_spectral(g))
+    return best

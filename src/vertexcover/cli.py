@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import BoundConfig, LOWER_METHODS
+from .bounds import LOWER_METHODS
 from .engine import (
     EngineError,
     LEAF_SIZE_PRESETS,
@@ -41,14 +41,10 @@ _LOWER_CHOICES = {
     "none": frozenset(),
     "matching": frozenset({"matching_half"}),
     "spectral": frozenset({"spectral"}),
-    "min-degree": frozenset({"min_degree"}),
     "coloring": frozenset({"coloring"}),
     "all": frozenset(LOWER_METHODS),
 }
-_UPPER_CHOICES = {
-    "none": frozenset(),
-    "clique": frozenset({"greedy_clique"}),
-}
+_UPPER_CHOICES = {"none": False, "clique": True}
 _REDUCTION_CHOICES = {
     "none": (),
     "neighbor": ("neighbor",),
@@ -101,10 +97,8 @@ def _config_from_args(args: argparse.Namespace, seed: int | None = None) -> Solv
         return SolveConfig(
             leaf_size=args.leaf_size,
             strategy=_SELECT_KINDS[args.select],
-            bounds=BoundConfig(
-                lower_methods=_LOWER_CHOICES[args.lower_bound],
-                upper_methods=_UPPER_CHOICES[args.upper_bound],
-            ),
+            lower_bounds=_LOWER_CHOICES[args.lower_bound],
+            clique_upper_bound=_UPPER_CHOICES[args.upper_bound],
             reductions=_REDUCTION_CHOICES[args.reduction],
             leaf_solver=args.leaf_solver.replace("-", "_"),
             seed=seed,

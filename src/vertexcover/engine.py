@@ -12,9 +12,10 @@ only where a subproblem leaves the search: once per QUBO leaf, before its
 solver runs, or, for ``decompose_only``, when the caller reads a leaf's
 ``graph``.
 
-Nodes are pruned against the size of the best complete cover found so far.
-With the ``greedy_clique`` upper bound enabled, each bounded node's clique
-cover is offered as a new best cover.
+Nodes are pruned when their committed vertices plus the best of the
+``lower_bounds`` cannot beat the best complete cover found so far. With
+``clique_upper_bound`` set, each node that survives that test offers its
+greedy-clique cover as a new best cover.
 
 An exact leaf is searched only for covers that would beat that incumbent:
 its cutoff is the incumbent size less the leaf's committed vertices, and
@@ -34,17 +35,17 @@ import math
 import time
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bounds import (
-    BoundConfig,
+    LOWER_METHODS,
     combine_bounds,
     greedy_clique_partition_bound,
     ub_greedy_clique,
 )
 from .graphs import Graph, bits
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
-from .reductions import known_reductions, reduce_chain
+from .reductions import REDUCTIONS, reduce_chain
 from .splitting import SELECTION_KINDS, Subproblem, select_vertex, split
 
 __all__ = [
@@ -77,6 +78,9 @@ class SolveConfig:
     """Everything that shapes a solve run.
 
     ``strategy`` names the split vertex rule, one of ``SELECTION_KINDS``.
+    ``lower_bounds`` names the lower bounds a node is pruned on, from
+    ``LOWER_METHODS``; ``clique_upper_bound`` offers each unpruned node's
+    greedy-clique cover to the incumbent.
     ``seed`` seeds both its tie-breaks and the annealer.
     ``qpu_seconds_per_leaf`` is the modeled per-leaf annealer access cost
     used for the solution-time metric.
@@ -84,7 +88,8 @@ class SolveConfig:
 
     leaf_size: int = 46
     strategy: str = "highest_degree"
-    bounds: BoundConfig = field(default_factory=BoundConfig)
+    lower_bounds: frozenset[str] = frozenset({"coloring"})
+    clique_upper_bound: bool = False
     reductions: tuple[str, ...] = ("neighbor",)
     leaf_solver: str = "exact"
     seed: int = 0
@@ -103,11 +108,15 @@ class SolveConfig:
             raise ValueError(
                 f"unknown leaf solver {self.leaf_solver!r}; expected one of {LEAF_SOLVERS}"
             )
-        for name in self.reductions:
-            if name not in known_reductions():
+        object.__setattr__(self, "lower_bounds", frozenset(self.lower_bounds))
+        for name in self.lower_bounds:
+            if name not in LOWER_METHODS:
                 raise ValueError(
-                    f"unknown reduction {name!r}; expected one of {known_reductions()}"
+                    f"unknown lower bound {name!r}; expected one of {LOWER_METHODS}"
                 )
+        for name in self.reductions:
+            if name not in REDUCTIONS:
+                raise ValueError(f"unknown reduction {name!r}; expected one of {REDUCTIONS}")
         if self.anneal_reads < 1:
             raise ValueError(f"anneal_reads must be at least 1, got {self.anneal_reads}")
         if self.anneal_sweeps < 1:
@@ -389,13 +398,13 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
                 leaves.append(node)
             continue
 
-        report = combine_bounds(node, cfg.bounds)
-        over = len(node.committed) + report.lower - incumbent.size
+        lower = combine_bounds(node, cfg.lower_bounds)
+        over = len(node.committed) + lower - incumbent.size
         if over > 0 or (prune_on_equal and over == 0):
             stats.pruned[node.depth] += 1
             continue
-        if report.witness_cover is not None:
-            incumbent.offer(node.committed | report.witness_cover)
+        if cfg.clique_upper_bound:
+            incumbent.offer(node.committed | ub_greedy_clique(node)[1])
 
         v = select_vertex(node, cfg.strategy, cfg.seed)
         s_plus, s_minus = split(node, v)

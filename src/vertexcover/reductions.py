@@ -13,12 +13,14 @@ from .graphs import bits
 from .splitting import Subproblem
 
 __all__ = [
+    "REDUCTIONS",
     "ReductionOutcome",
     "reduce_neighbor",
     "reduce_dominance",
     "reduce_chain",
-    "known_reductions",
 ]
+
+REDUCTIONS = ("neighbor", "dominance")
 
 
 @dataclass(frozen=True)
@@ -108,23 +110,11 @@ def reduce_dominance(s: Subproblem) -> ReductionOutcome:
             return _outcome(s, alive, committed)
 
 
-_REDUCERS = {
-    "neighbor": reduce_neighbor,
-    "dominance": reduce_dominance,
-}
-
-
-def known_reductions() -> tuple[str, ...]:
-    return tuple(_REDUCERS)
-
-
 def reduce_chain(s: Subproblem, enabled: list[str] | tuple[str, ...]) -> ReductionOutcome:
     """Apply the named reductions in order, cycling until nothing changes."""
     for name in enabled:
-        if name not in _REDUCERS:
-            raise ValueError(
-                f"unknown reduction {name!r}; expected one of {tuple(_REDUCERS)}"
-            )
+        if name not in REDUCTIONS:
+            raise ValueError(f"unknown reduction {name!r}; expected one of {REDUCTIONS}")
     current = s
     removed = 0
     contribution = 0
@@ -132,7 +122,10 @@ def reduce_chain(s: Subproblem, enabled: list[str] | tuple[str, ...]) -> Reducti
     while progressing:
         progressing = False
         for name in enabled:
-            outcome = _REDUCERS[name](current)
+            if name == "neighbor":
+                outcome = reduce_neighbor(current)
+            else:
+                outcome = reduce_dominance(current)
             if outcome.removed_vertices:
                 progressing = True
                 removed += outcome.removed_vertices

@@ -10,7 +10,7 @@ import statistics
 import time
 
 from vertexcover import (
-    BoundConfig,
+    LOWER_METHODS,
     SolveConfig,
     brute_force_oracle,
     build_mvc_qubo,
@@ -19,7 +19,6 @@ from vertexcover import (
     is_vertex_cover,
     lb_coloring,
     lb_matching_half,
-    lb_min_degree,
     lb_spectral,
     random_graph,
     solve,
@@ -39,11 +38,12 @@ LEAF_SOLVERS = ("exact", "qubo_exhaustive")
 
 
 def bound_configurations():
-    configs = [BoundConfig.none()]
-    for lower in ("matching_half", "spectral", "min_degree", "coloring"):
-        for upper in (frozenset({"greedy_clique"}), frozenset()):
-            configs.append(BoundConfig(frozenset({lower}), upper))
-    configs.append(BoundConfig.all())
+    """(lower_bounds, clique_upper_bound) pairs: none, each bound alone, all."""
+    configs = [(frozenset(), False)]
+    for lower in LOWER_METHODS:
+        for clique in (True, False):
+            configs.append((frozenset({lower}), clique))
+    configs.append((frozenset(LOWER_METHODS), True))
     return configs
 
 
@@ -56,12 +56,13 @@ def test_criterion_1_oracle_exactness(corpus_n24):
     runs = 0
     # every combination runs once, spread deterministically over the corpus;
     # the default configuration additionally runs on every graph
-    for i, (strategy, bounds, chain, leaf_size, solver) in enumerate(combos):
+    for i, (strategy, (lower, clique), chain, leaf_size, solver) in enumerate(combos):
         g, oracle = corpus_n24[i % len(corpus_n24)]
         cfg = SolveConfig(
             leaf_size=leaf_size,
             strategy=strategy,
-            bounds=bounds,
+            lower_bounds=lower,
+            clique_upper_bound=clique,
             reductions=chain,
             leaf_solver=solver,
             seed=i,
@@ -97,8 +98,7 @@ def test_criterion_3_bound_sandwich(corpus_n24):
     """All enabled lower bounds stay at or below the optimum, all upper
     bounds at or above, and the greedy-clique witness is always a cover."""
     for g, oracle in corpus_n24:
-        lower = max(lb_matching_half(g), lb_spectral(g), lb_min_degree(g),
-                    lb_coloring(g))
+        lower = max(lb_matching_half(g), lb_spectral(g), lb_coloring(g))
         upper, witness = ub_greedy_clique(g)
         assert lower <= oracle <= upper
         assert is_vertex_cover(g, witness)

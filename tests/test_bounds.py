@@ -1,37 +1,30 @@
+import itertools
 import random
 
 import pytest
 
 from vertexcover import (
-    BoundConfig,
+    LOWER_METHODS,
+    SolveConfig,
     Subproblem,
     brute_force_oracle,
     combine_bounds,
     is_vertex_cover,
     lb_coloring,
     lb_matching_half,
-    lb_min_degree,
     lb_spectral,
     random_graph,
     ub_greedy_clique,
 )
 from vertexcover.bounds import greedy_clique_partition_bound
 
-from conftest import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, empty_graph, path_graph
 
 
 def test_matching_half_examples():
     assert lb_matching_half(empty_graph(6)) == 0
     assert lb_matching_half(complete_graph(4)) == 2
     assert lb_matching_half(path_graph(3)) == 1
-
-
-def test_min_degree_examples():
-    for n in (2, 5, 9):
-        assert lb_min_degree(complete_graph(n)) == n - 1
-    assert lb_min_degree(star_graph(4)) == 1
-    assert lb_min_degree(cycle_graph(5)) == 2
-    assert lb_min_degree(empty_graph(3)) == 0
 
 
 def test_spectral_examples():
@@ -57,30 +50,35 @@ def test_greedy_clique_examples():
 
 
 def test_combine_bounds_c5():
-    report = combine_bounds(cycle_graph(5), BoundConfig.all())
-    assert report.lower == 3
-    assert report.lower_parts["spectral"] == 3
-    assert report.upper >= 3
+    assert combine_bounds(cycle_graph(5), LOWER_METHODS) == 3
+    assert combine_bounds(cycle_graph(5), {"spectral"}) == 3
 
 
 def test_combine_bounds_edgeless():
-    report = combine_bounds(empty_graph(4), BoundConfig.all())
-    assert report.lower == 0
-    assert report.upper == 0
-    assert report.witness_cover == frozenset()
+    assert combine_bounds(empty_graph(4), LOWER_METHODS) == 0
 
 
 def test_combine_bounds_defaults_to_trivial():
     g = random_graph(9, 0.4, seed=2)
-    report = combine_bounds(g, BoundConfig.none())
-    assert report.lower == 0
-    assert report.upper == g.n
-    assert report.lower_parts == {} and report.upper_parts == {}
+    assert combine_bounds(g, frozenset()) == 0
+
+
+def test_combine_bounds_is_best_named_bound(corpus_n16):
+    """Every subset of the lower bounds gives the max of its members, 0 for none."""
+    by_name = {"matching_half": lb_matching_half, "spectral": lb_spectral,
+               "coloring": lb_coloring}
+    assert set(by_name) == set(LOWER_METHODS)
+    for g, _ in corpus_n16:
+        values = {name: fn(g) for name, fn in by_name.items()}
+        for k in range(len(LOWER_METHODS) + 1):
+            for names in itertools.combinations(LOWER_METHODS, k):
+                expected = max((values[name] for name in names), default=0)
+                assert combine_bounds(g, frozenset(names)) == expected, names
 
 
 def test_bounds_safety_against_oracle(corpus_n16):
     for g, oracle in corpus_n16:
-        for fn in (lb_matching_half, lb_min_degree, lb_spectral, lb_coloring):
+        for fn in (lb_matching_half, lb_spectral, lb_coloring):
             assert fn(g) <= oracle, fn.__name__
         size, witness = ub_greedy_clique(g)
         assert size >= oracle
@@ -101,31 +99,25 @@ def test_spectral_on_subproblem_matches_its_graph(corpus_n16):
 
 
 def test_lower_never_exceeds_upper_when_sound(corpus_n16):
-    cfg = BoundConfig.all()
     for g, _ in corpus_n16:
-        report = combine_bounds(g, cfg)
-        assert report.lower <= report.upper
+        assert combine_bounds(g, LOWER_METHODS) <= ub_greedy_clique(g)[0]
 
 
 def test_reports_deterministic():
     g = random_graph(14, 0.5, seed=8)
-    first = combine_bounds(g, BoundConfig.all())
-    second = combine_bounds(g, BoundConfig.all())
-    assert first == second
+    assert combine_bounds(g, LOWER_METHODS) == combine_bounds(g, LOWER_METHODS)
 
 
 def test_complete_graph_bounds_tight():
     g = complete_graph(7)
-    report = combine_bounds(g, BoundConfig.all())
-    assert report.lower == report.upper == 6
+    assert combine_bounds(g, LOWER_METHODS) == ub_greedy_clique(g)[0] == 6
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        BoundConfig(frozenset({"lovasz"}), frozenset())
-    with pytest.raises(ValueError):
-        BoundConfig(frozenset(), frozenset({"magic"}))
-
+    for name in ("min_degree", "lovasz"):
+        with pytest.raises(ValueError, match=name):
+            SolveConfig(lower_bounds={name})
+    assert SolveConfig(lower_bounds=["coloring"]).lower_bounds == frozenset({"coloring"})
 
 
 def test_greedy_clique_partition_bound_examples_and_safety():

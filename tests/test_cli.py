@@ -5,6 +5,8 @@ import json
 import pytest
 
 from vertexcover import (
+    LOWER_METHODS,
+    SolveConfig,
     brute_force_oracle,
     exact_leaf_solve,
     is_vertex_cover,
@@ -60,6 +62,16 @@ def test_solve_reference_flag_combination(tmp_path, capsys):
     ])
     assert code == 0
     assert json.loads(out)["size"] == 5
+
+
+def test_cli_defaults_match_solve_config():
+    """The solver flags' defaults restate SolveConfig's; they must not drift apart."""
+    parse = cli.build_parser().parse_args
+    assert cli._config_from_args(parse(["solve", "g.dimacs"])) == SolveConfig()
+    tuned = parse(["solve", "g.dimacs", "--lower-bound", "all", "--upper-bound", "clique"])
+    assert cli._config_from_args(tuned) == SolveConfig(
+        lower_bounds=LOWER_METHODS, clique_upper_bound=True
+    )
 
 
 def test_solve_parse_error_exit_2(tmp_path, capsys):

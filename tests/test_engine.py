@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from vertexcover import (
-    BoundConfig,
+    LOWER_METHODS,
     EngineError,
     SolveConfig,
     brute_force_oracle,
@@ -82,22 +82,23 @@ def test_solve_matches_oracle_across_configs():
     g = random_graph(20, 0.3, seed=99)
     oracle = brute_force_oracle(g)
     strategies = ["lowest_degree", "highest_degree", "median_degree", "random"]
-    bound_cfgs = [
-        BoundConfig.none(),
-        BoundConfig.all(),
-        BoundConfig(frozenset({"coloring"}), frozenset()),
+    bound_cfgs = [  # (lower_bounds, clique_upper_bound)
+        (frozenset(), False),
+        (LOWER_METHODS, True),
+        (frozenset({"coloring"}), False),
     ]
     reductions = [(), ("neighbor",), ("dominance",), ("neighbor", "dominance")]
-    for strat, bounds, reds in itertools.product(strategies, bound_cfgs, reductions):
+    for strat, (lower, clique), reds in itertools.product(strategies, bound_cfgs, reductions):
         cfg = SolveConfig(
             leaf_size=5,
             strategy=strat,
-            bounds=bounds,
+            lower_bounds=lower,
+            clique_upper_bound=clique,
             reductions=reds,
             seed=2,
         )
         result = solve(g, cfg)
-        assert result.size == oracle, (strat, bounds, reds)
+        assert result.size == oracle, (strat, lower, clique, reds)
         assert is_vertex_cover(g, result.cover)
 
 
@@ -146,9 +147,9 @@ def test_determinism():
 def test_pruning_preserves_optimum():
     for seed in range(6):
         g = random_graph(16, 0.35, seed=300 + seed)
-        bare = solve(g, SolveConfig(leaf_size=4, bounds=BoundConfig.none(),
-                                    reductions=(), seed=seed))
-        tuned = solve(g, SolveConfig(leaf_size=4, bounds=BoundConfig.all(),
+        bare = solve(g, SolveConfig(leaf_size=4, lower_bounds=(), reductions=(), seed=seed))
+        tuned = solve(g, SolveConfig(leaf_size=4, lower_bounds=LOWER_METHODS,
+                                     clique_upper_bound=True,
                                      reductions=("neighbor", "dominance"), seed=seed))
         assert bare.size == tuned.size
 

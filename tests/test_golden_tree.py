@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from vertexcover import (
+    LOWER_METHODS,
     SELECTION_KINDS,
-    BoundConfig,
     SolveConfig,
     decompose_only,
     exact_leaf_solve,
@@ -39,7 +39,7 @@ GRAPHS = {
     "keller-3": (lambda: keller_benchmark_graph(3), 8),
 }
 CHAINS = ((), ("neighbor",), ("neighbor", "dominance"))
-BOUNDS = {"default": BoundConfig(), "all": BoundConfig.all()}
+BOUNDS = {"default": {}, "all": {"lower_bounds": LOWER_METHODS, "clique_upper_bound": True}}
 
 
 def tree_signatures(name: str) -> dict[str, list]:
@@ -50,7 +50,7 @@ def tree_signatures(name: str) -> dict[str, list]:
         cfg = SolveConfig(
             leaf_size=leaf_size,
             strategy=kind,
-            bounds=BOUNDS[bounds],
+            **BOUNDS[bounds],
             reductions=chain,
             seed=3,
         )

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from vertexcover import (
     LOWER_METHODS,
     SELECTION_KINDS,
-    UPPER_METHODS,
-    BoundConfig,
     SolveConfig,
     Subproblem,
     brute_force_oracle,
@@ -31,11 +29,8 @@ configs = st.builds(
     SolveConfig,
     leaf_size=st.integers(1, 14),
     strategy=st.sampled_from(SELECTION_KINDS),
-    bounds=st.builds(
-        BoundConfig,
-        lower_methods=st.frozensets(st.sampled_from(LOWER_METHODS)),
-        upper_methods=st.frozensets(st.sampled_from(UPPER_METHODS)),
-    ),
+    lower_bounds=st.frozensets(st.sampled_from(LOWER_METHODS)),
+    clique_upper_bound=st.booleans(),
     reductions=st.lists(st.sampled_from(("neighbor", "dominance")), unique=True).map(tuple),
     leaf_solver=st.sampled_from(("exact", "qubo_exhaustive")),
     seed=st.integers(0, 1000),

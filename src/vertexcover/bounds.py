@@ -105,7 +105,7 @@ def lb_spectral(g) -> int:
     return max(0, n - (n_zero + min(n_pos, n_neg)))
 
 
-def lb_coloring(g) -> int:
+def lb_coloring(g, limit: int | None = None) -> int:
     """n minus a greedy proper coloring of the complement.
 
     The coloring count bounds the complement's clique number from above,
@@ -113,10 +113,17 @@ def lb_coloring(g) -> int:
     Vertices are colored in ascending (degree, id) order, that is largest
     complement degree first; a class can take v when none of its members
     is a complement neighbour of v, i.e. all of them are neighbours of v.
+
+    With a ``limit``, coloring stops once the class count exceeds
+    ``n - limit``: the count only grows, so the bound can no longer reach
+    ``limit``. The result is then the colored vertices less their classes,
+    a safe bound below ``limit``; whenever the full bound reaches ``limit``
+    the result is that full bound.
     """
     masks = g.adjacency_masks
+    most = g.n if limit is None else g.n - limit  # classes the bound can afford
     classes: list[int] = []  # bitmask of vertices per color class
-    for v in sorted(g.vertices(), key=g.degrees.__getitem__):
+    for colored, v in enumerate(sorted(g.vertices(), key=g.degrees.__getitem__), 1):
         outside = ~masks[v]
         for i, members in enumerate(classes):
             if not members & outside:
@@ -124,6 +131,8 @@ def lb_coloring(g) -> int:
                 break
         else:
             classes.append(1 << v)
+            if len(classes) > most:
+                return colored - len(classes)
     return max(0, g.n - len(classes))
 
 
@@ -143,11 +152,15 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     return len(cover), cover
 
 
-def combine_bounds(g: Graph | Subproblem, names) -> int:
-    """Best of the named lower bounds (``LOWER_METHODS``), or 0 when none is named."""
+def combine_bounds(g: Graph | Subproblem, names, limit: int | None = None) -> int:
+    """Best of the named lower bounds (``LOWER_METHODS``), or 0 when none is named.
+
+    ``limit`` is handed to ``lb_coloring``: the result reaches ``limit``
+    exactly when the full best does, and then equals it.
+    """
     best = 0
     if "coloring" in names:
-        best = lb_coloring(g)
+        best = lb_coloring(g, limit)
     if "matching_half" in names:
         best = max(best, lb_matching_half(g))
     if "spectral" in names:

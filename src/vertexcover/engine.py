@@ -12,10 +12,15 @@ only where a subproblem leaves the search: once per QUBO leaf, before its
 solver runs, or, for ``decompose_only``, when the caller reads a leaf's
 ``graph``.
 
-Nodes are pruned when their committed vertices plus the best of the
-``lower_bounds`` cannot beat the best complete cover found so far. With
-``clique_upper_bound`` set, each node that survives that test offers its
-greedy-clique cover as a new best cover.
+Each node is reduced, then bounded, and only then made a leaf or split.
+It is pruned when its committed vertices plus the best of the
+``lower_bounds`` cannot beat the best complete cover found so far, so a
+leaf the bound rules out is never dispatched: a graph whose greedy-clique
+cover (the first incumbent) meets its root bound takes no leaf at all.
+The bound is asked only whether it reaches the cutoff, which lets the
+colouring bound stop early. With ``clique_upper_bound`` set, each node
+that survives the bound and splits offers its greedy-clique cover as a
+new best cover.
 
 An exact leaf is searched only for covers that would beat that incumbent:
 its cutoff is the incumbent size less the leaf's committed vertices, and
@@ -390,19 +395,20 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
         if cfg.reductions:
             node = reduce_chain(node, cfg.reductions).reduced
 
+        need = incumbent.size - len(node.committed) + (0 if prune_on_equal else 1)
+        if combine_bounds(node, cfg.lower_bounds, need) >= need:
+            stats.pruned[node.depth] += 1
+            continue
+
         if node.n <= cfg.leaf_size:
             if dispatch:
                 _dispatch_leaf(node, cfg, incumbent, stats)
             else:
                 stats.merge_leaf(node.depth, node.n, 0.0)
+                node.__dict__.pop("degrees", None)  # the bound's cache; a kept leaf needs none
                 leaves.append(node)
             continue
 
-        lower = combine_bounds(node, cfg.lower_bounds)
-        over = len(node.committed) + lower - incumbent.size
-        if over > 0 or (prune_on_equal and over == 0):
-            stats.pruned[node.depth] += 1
-            continue
         if cfg.clique_upper_bound:
             incumbent.offer(node.committed | ub_greedy_clique(node)[1])
 

@@ -39,7 +39,9 @@ def test_solve_triangle_json(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["size"] == 2
-    assert report["leaf_count"] == 1
+    # the greedy-clique cover meets the root's lower bound: pruned, no leaf
+    assert report["leaf_count"] == 0
+    assert report["subproblems_pruned"] == 1
     assert len(report["cover"]) == 2
     assert report["cover"] == sorted(report["cover"])
 

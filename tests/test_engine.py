@@ -28,11 +28,22 @@ from conftest import (
 )
 
 
-def test_solve_triangle_single_leaf():
+def test_solve_triangle_pruned_at_root():
+    # the greedy-clique cover (2) meets lb_coloring (2): no leaf is dispatched
     result = solve(complete_graph(3), SolveConfig(leaf_size=46))
     assert result.size == 2
-    assert result.leaf_count == 1
+    assert result.leaf_count == 0
+    assert result.subproblems_pruned == 1
     assert is_vertex_cover(complete_graph(3), result.cover)
+
+
+def test_solve_five_cycle_single_leaf():
+    # the greedy-clique cover (3) is above lb_coloring (2): the root is a leaf
+    result = solve(cycle_graph(5), SolveConfig(leaf_size=46))
+    assert result.size == 3
+    assert result.leaf_count == 1
+    assert result.subproblems_pruned == 0
+    assert is_vertex_cover(cycle_graph(5), result.cover)
 
 
 def test_solve_edgeless():
@@ -175,6 +186,13 @@ def test_decompose_only_whole_graph_is_single_leaf():
     assert dec.leaf_count == 1
     assert dec.leaves[0].graph.adjacency == g.adjacency
     assert dec.leaves[0].committed == frozenset()
+
+
+def test_decompose_only_leaves_keep_no_degree_cache():
+    # every leaf is bounded, which fills Subproblem.degrees; a kept leaf drops it
+    dec = decompose_only(random_graph(40, 0.2, seed=3), SolveConfig(leaf_size=12, seed=3))
+    assert dec.leaf_count > 1
+    assert not any("degrees" in leaf.__dict__ for leaf in dec.leaves)
 
 
 def test_decompose_only_triangle_recovers_optimum():

@@ -8,11 +8,15 @@ the covers ``exact_leaf_solve`` returns on fixed random graphs, which
 depend on the order it explores branches in. Any change to how
 subproblems are represented must reproduce them exactly. To re-record
 after a deliberate change of the tree, run
-``PYTHONPATH=src python tests/test_golden_tree.py``.
+``PYTHONPATH=src python tests/test_golden_tree.py``. It prints every
+entry's leaf count, old -> new, and refuses to write when any ``solve``
+cover size differs from the recorded one: a change of the tree may move
+work between leaves and pruned nodes, but never changes the optimum.
 """
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +92,31 @@ def test_search_tree_matches_golden(name):
     assert not mismatched, mismatched[:5]
 
 
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_per_depth_accounting(name):
+    """Each node generated at a depth is pruned, a leaf, or split into two below it."""
+    for key, (_, _, _, _, rows) in tree_signatures(name).items():
+        generated = {d: gen for d, gen, _, _ in rows}
+        for d, gen, pruned, leaves in rows:
+            assert 2 * (gen - pruned - leaves) == generated.get(d + 1, 0), (key, d)
+
+
+def test_rerecord_refuses_a_changed_solve_cover_size(tmp_path, monkeypatch, capsys):
+    golden = json.loads(GOLDEN_FILE.read_text())
+    entry = golden["keller-3"]["solve|highest_degree|neighbor|default"]
+    entry[0] = entry[0][1:]
+    doctored = json.dumps(golden) + "\n"
+    path = tmp_path / "golden_tree.json"
+    path.write_text(doctored)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_FILE", path)
+    assert rerecord() == 1
+    assert path.read_text() == doctored
+    out = capsys.readouterr().out
+    assert "refusing to write" in out
+    assert "keller-3 solve|highest_degree|neighbor|default: cover size" in out
+    assert "keller-3 decompose|random|none|all: leaves" in out
+
+
 def test_exact_leaf_covers_match_golden():
     assert leaf_covers() == json.loads(GOLDEN_FILE.read_text())["exact_leaf_solve"]
 
@@ -100,7 +129,26 @@ def test_exact_leaf_covers_match_golden_under_a_cutoff():
         assert exact_leaf_solve(g, len(cover)) is None
 
 
-if __name__ == "__main__":
+def rerecord() -> int:
+    old = json.loads(GOLDEN_FILE.read_text())
     golden = {name: tree_signatures(name) for name in sorted(GRAPHS)}
     golden["exact_leaf_solve"] = leaf_covers()
+    resized = []
+    for name in sorted(GRAPHS):
+        for key, entry in golden[name].items():
+            before = old.get(name, {}).get(key)
+            if before is None:
+                print(f"{name} {key}: new, {entry[1]} leaves")
+                continue
+            print(f"{name} {key}: leaves {before[1]} -> {entry[1]}")
+            if key.startswith("solve|") and len(entry[0]) != len(before[0]):
+                resized.append(f"{name} {key}: cover size {len(before[0])} -> {len(entry[0])}")
+    if resized:
+        print("refusing to write: solve cover sizes changed", *resized, sep="\n")
+        return 1
     GOLDEN_FILE.write_text(json.dumps(golden) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(rerecord())

@@ -1,5 +1,7 @@
 """Property tests: random small graphs and solver settings against the oracle."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +12,11 @@ from vertexcover import (
     Subproblem,
     brute_force_oracle,
     build_graph,
+    combine_bounds,
     decompose_only,
     exact_leaf_solve,
     is_vertex_cover,
+    lb_coloring,
     solve,
 )
 
@@ -76,3 +80,40 @@ def test_exact_leaf_solve_cutoff_matches_oracle(g, keep):
                 assert bounded is None
             else:
                 assert bounded == unbounded
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1))
+def test_lb_coloring_limit_decides_like_the_full_bound(g, keep):
+    """With a limit the bound reaches it exactly when the full bound does, and is
+    then the full bound; below it, it stays a safe bound. On a graph and a subproblem."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    for instance in (g, sub):
+        full = lb_coloring(instance)
+        for limit in range(instance.n + 2):
+            bounded = lb_coloring(instance, limit)
+            assert (bounded >= limit) == (full >= limit)
+            if bounded >= limit:
+                assert bounded == full
+            else:
+                assert 0 <= bounded <= full
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1))
+def test_combine_bounds_limit_decides_like_the_full_bound(g, keep):
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    subsets = [
+        frozenset(names)
+        for k in range(len(LOWER_METHODS) + 1)
+        for names in itertools.combinations(LOWER_METHODS, k)
+    ]
+    for instance, names in itertools.product((g, sub), subsets):
+        full = combine_bounds(instance, names)
+        for limit in range(instance.n + 2):
+            bounded = combine_bounds(instance, names, limit)
+            assert (bounded >= limit) == (full >= limit), (names, limit)
+            if bounded >= limit:
+                assert bounded == full, (names, limit)
+            else:
+                assert 0 <= bounded <= full, (names, limit)

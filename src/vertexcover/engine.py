@@ -15,12 +15,15 @@ solver runs, or, for ``decompose_only``, when the caller reads a leaf's
 Each node is reduced, then bounded, and only then made a leaf or split.
 It is pruned when its committed vertices plus the best of the
 ``lower_bounds`` cannot beat the best complete cover found so far, so a
-leaf the bound rules out is never dispatched: a graph whose greedy-clique
-cover (the first incumbent) meets its root bound takes no leaf at all.
-The bound is asked only whether it reaches the cutoff, which lets the
-colouring bound stop early. With ``clique_upper_bound`` set, each node
-that survives the bound and splits offers its greedy-clique cover as a
-new best cover.
+leaf the bound rules out is never dispatched or kept: a graph whose
+greedy-clique cover (the first incumbent) meets its root bound takes no
+leaf at all. QUBO leaves are the one exception: they are still dispatched
+before any bound, as they were before bounding came first, until the
+annealer benchmark's inputs are re-chosen to keep several annealer leaves
+when every leaf is bounded. The bound is asked only whether it reaches
+the cutoff, which lets the colouring bound stop early. With
+``clique_upper_bound`` set, each node that survives the bound and splits
+offers its greedy-clique cover as a new best cover.
 
 An exact leaf is searched only for covers that would beat that incumbent:
 its cutoff is the incumbent size less the leaf's committed vertices, and
@@ -387,6 +390,7 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
     incumbent = _Incumbent(ub_greedy_clique(g)[1])
     stats = _Stats()
     leaves: list[Subproblem] = []
+    qubo_leaves = dispatch and cfg.leaf_solver != "exact"  # dispatched unbounded
     ordinal = 0
     stats.generated[0] += 1
     stack = [Subproblem.root(g)]
@@ -395,17 +399,19 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
         if cfg.reductions:
             node = reduce_chain(node, cfg.reductions).reduced
 
-        need = incumbent.size - len(node.committed) + (0 if prune_on_equal else 1)
-        if combine_bounds(node, cfg.lower_bounds, need) >= need:
-            stats.pruned[node.depth] += 1
-            continue
+        leaf = node.n <= cfg.leaf_size
+        if not (leaf and qubo_leaves):
+            need = incumbent.size - len(node.committed) + (0 if prune_on_equal else 1)
+            if combine_bounds(node, cfg.lower_bounds, need) >= need:
+                stats.pruned[node.depth] += 1
+                continue
 
-        if node.n <= cfg.leaf_size:
+        if leaf:
             if dispatch:
                 _dispatch_leaf(node, cfg, incumbent, stats)
             else:
                 stats.merge_leaf(node.depth, node.n, 0.0)
-                node.__dict__.pop("degrees", None)  # the bound's cache; a kept leaf needs none
+                node.drop_caches()
                 leaves.append(node)
             continue
 

@@ -65,6 +65,10 @@ class Subproblem:
         masks, alive = self.base.adjacency_masks, self.alive
         return {v: (masks[v] & alive).bit_count() for v in self.vertices()}
 
+    def drop_caches(self) -> None:
+        """Forget the cached ``degrees``; a subproblem kept for later holds none."""
+        self.__dict__.pop("degrees", None)
+
     @property
     def graph(self) -> Graph:
         """The residual graph, renumbered to 0..n-1 in ascending id order.

@@ -46,6 +46,15 @@ def test_solve_five_cycle_single_leaf():
     assert is_vertex_cover(cycle_graph(5), result.cover)
 
 
+@pytest.mark.parametrize("solver", ["qubo_exhaustive", "qubo_anneal"])
+def test_qubo_leaf_is_dispatched_before_the_bound(solver):
+    # a QUBO leaf is solved even where the bound alone proves the incumbent optimal
+    result = solve(complete_graph(3), SolveConfig(leaf_size=46, leaf_solver=solver))
+    assert result.size == 2
+    assert result.leaf_count == 1
+    assert result.subproblems_pruned == 0
+
+
 def test_solve_edgeless():
     result = solve(empty_graph(6))
     assert result.size == 0
@@ -188,11 +197,13 @@ def test_decompose_only_whole_graph_is_single_leaf():
     assert dec.leaves[0].committed == frozenset()
 
 
-def test_decompose_only_leaves_keep_no_degree_cache():
+def test_decompose_only_leaves_drop_their_caches(monkeypatch):
     # every leaf is bounded, which fills Subproblem.degrees; a kept leaf drops it
+    dropped = []
+    monkeypatch.setattr(engine.Subproblem, "drop_caches", lambda leaf: dropped.append(leaf))
     dec = decompose_only(random_graph(40, 0.2, seed=3), SolveConfig(leaf_size=12, seed=3))
     assert dec.leaf_count > 1
-    assert not any("degrees" in leaf.__dict__ for leaf in dec.leaves)
+    assert list(map(id, dropped)) == list(map(id, dec.leaves))
 
 
 def test_decompose_only_triangle_recovers_optimum():

@@ -66,6 +66,14 @@ def test_split_triangle():
     assert s_plus.depth == s_minus.depth == 1
 
 
+def test_drop_caches_recomputes_degrees():
+    s = Subproblem.root(path_graph(4))
+    degrees = s.degrees
+    assert s.degrees is degrees
+    s.drop_caches()
+    assert s.degrees == degrees and s.degrees is not degrees
+
+
 def test_split_star_center():
     star = star_graph(4)
     s_plus, s_minus = split(Subproblem.root(star), 0)

@@ -289,8 +289,14 @@ def cmd_export_qubo(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     cfg = _config_from_args(args)
-    result = decompose_only(g, cfg)
     out_dir = Path(args.output_dir)
+    # a second run would leave the first run's surplus leaf files beside its
+    # manifest, so an earlier hand-off is refused, never overwritten
+    if (out_dir / "manifest.json").exists() or any(out_dir.glob("leaf_*.dimacs")):
+        print(f"error: {out_dir} already holds a decomposition; "
+              "choose an empty or new --output-dir", file=sys.stderr)
+        return EXIT_USAGE
+    result = decompose_only(g, cfg)
     manifest = {
         "input": args.input,
         "config": _config_fingerprint(args),
@@ -307,7 +313,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, leaf in enumerate(result.leaves):
             name = f"leaf_{i:04d}.dimacs"
-            (out_dir / name).write_text(serialize_graph(leaf.graph, "dimacs"))
+            (out_dir / name).write_text(serialize_graph(leaf, "dimacs"))
             manifest["leaves"].append({
                 "id": i,
                 "file": name,
@@ -316,7 +322,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "committed": sorted(leaf.committed),
                 "mapping": leaf.vertices(),
             })
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        (out_dir / "manifest.json").write_text(json.dumps(manifest))
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -288,22 +288,40 @@ def _parse_matrix_market(text: str) -> Graph:
 
 # -- serialization ----------------------------------------------------------
 
-def serialize_graph(g: Graph, format: str = "dimacs") -> str:
-    """Emit graph text that parses back to the same graph."""
+def serialize_graph(g, format: str = "dimacs") -> str:
+    """Emit graph text that parses back to the same graph.
+
+    ``g`` is a Graph or a Subproblem alike: only ``adjacency_masks``, the
+    ``alive`` mask, ``vertices()`` and ``n`` are read. The text numbers the
+    vertices 0..n-1 in ascending id order, so a subproblem's vertex i is
+    ``vertices()[i]`` and its text is that of ``Subproblem.graph``, without
+    building that graph.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"unknown graph format {format!r}; expected one of {FORMATS}")
+    masks, alive, ids = g.adjacency_masks, g.alive, g.vertices()
+    index = {v: i for i, v in enumerate(ids)}
+    # edges as (u, v) with u < v, in lexicographic order, as Graph.edges() lists them
+    edges, isolated = [], []
+    for u, v in enumerate(ids):
+        nbrs = masks[v] & alive
+        if not nbrs:
+            isolated.append(u)
+        higher = nbrs >> (v + 1) << (v + 1)
+        while higher:
+            low = higher & -higher
+            edges.append((u, index[low.bit_length() - 1]))
+            higher ^= low
+    n, m = g.n, len(edges)
     if format == "dimacs":
-        lines = [f"c undirected graph, {g.n} vertices, {g.m} edges"]
-        lines.append(f"p edge {g.n} {g.m}")
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-        return "\n".join(lines) + "\n"
-    if format == "edge_list":
+        lines = [f"c undirected graph, {n} vertices, {m} edges", f"p edge {n} {m}"]
+        lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
+    elif format == "edge_list":
         # A self-loop line registers a vertex and is dropped by the parser,
         # which is how isolated vertices survive the round trip.
-        lines = [f"{u} {v}" for u, v in g.edges()]
-        lines.extend(f"{v} {v}" for v in g.vertices() if g.degree(v) == 0)
-        return "\n".join(lines) + "\n"
-    if format == "matrix_market":
-        lines = ["%%MatrixMarket matrix coordinate pattern symmetric"]
-        lines.append(f"{g.n} {g.n} {g.m}")
-        lines.extend(f"{v + 1} {u + 1}" for u, v in g.edges())
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown graph format {format!r}; expected one of {FORMATS}")
+        lines = [f"{u} {v}" for u, v in edges]
+        lines.extend(f"{v} {v}" for v in isolated)
+    else:
+        lines = ["%%MatrixMarket matrix coordinate pattern symmetric", f"{n} {n} {m}"]
+        lines.extend(f"{v + 1} {u + 1}" for u, v in edges)
+    return "\n".join(lines) + "\n"

@@ -34,8 +34,9 @@ class Subproblem:
     ``base``'s fixed adjacency masks restricted to ``alive``, so deleting
     vertices builds no graph. ``committed`` holds ids already decided to be
     in the cover; they are never alive. ``graph`` builds the residual as a
-    standalone graph on 0..n-1 for leaf solvers and files; its vertex i is
-    ``vertices()[i]``.
+    standalone graph on 0..n-1 for QUBO leaf solvers; its vertex i is
+    ``vertices()[i]``. ``serialize_graph`` writes a subproblem's file in that
+    numbering straight from the masks.
     """
 
     base: Graph

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from vertexcover import Graph, build_graph, brute_force_oracle, random_graph
+from vertexcover import Graph, build_graph, brute_force_oracle, parse_graph, random_graph
 
 
 def path_graph(n: int) -> Graph:
@@ -51,6 +51,24 @@ def keller_benchmark_graph(order: int = 4) -> Graph:
         if adjacent(a, b)
     ]
     return build_graph(len(verts), edges)
+
+
+def reparse_by_file_label(text: str, format: str) -> tuple[frozenset[int], ...]:
+    """Parse graph text and return its adjacency under the ids the file names.
+
+    DIMACS and Matrix Market ids parse to themselves less one. An edge list's
+    labels are the ids themselves, which the parser renumbers in order of
+    first appearance; that renumbering is undone here.
+    """
+    g = parse_graph(text, format)
+    if format != "edge_list":
+        return g.adjacency
+    labels = list(dict.fromkeys(int(token) for token in text.split()))
+    assert sorted(labels) == list(range(g.n))
+    adjacency = [frozenset()] * g.n
+    for i, label in enumerate(labels):
+        adjacency[label] = frozenset(labels[j] for j in g.adjacency[i])
+    return tuple(adjacency)
 
 
 DENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)

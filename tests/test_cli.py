@@ -246,6 +246,64 @@ def test_decompose_leaf_size_preset_name(tmp_path, capsys):
     assert manifest["leaf_size"] == 180
 
 
+def test_decompose_refuses_an_earlier_hand_off(tmp_path, capsys):
+    from vertexcover import random_graph
+
+    path = tmp_path / "g.dimacs"
+    path.write_text(serialize_graph(random_graph(40, 0.3, seed=2), "dimacs"))
+    out_dir = tmp_path / "leaves"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept\n")  # other files do not block a run
+    argv = ["decompose", str(path), "--output-dir", str(out_dir)]
+    code, _, _ = run_cli(capsys, argv + ["--leaf-size", "8"])
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    # a smaller second decomposition would leave surplus leaf files behind
+    code, out, err = run_cli(capsys, argv + ["--leaf-size", "20"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("leftover", ["manifest.json", "leaf_0003.dimacs"])
+def test_decompose_refuses_any_hand_off_file(tmp_path, capsys, leftover):
+    path = tmp_path / "k3.dimacs"
+    path.write_text(K3_DIMACS)
+    out_dir = tmp_path / "leaves"
+    out_dir.mkdir()
+    (out_dir / leftover).write_text("")
+    code, _, err = run_cli(capsys, [
+        "decompose", str(path), "--output-dir", str(out_dir),
+    ])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert [p.name for p in out_dir.iterdir()] == [leftover]
+
+
+def test_decompose_deterministic_modulo_timing(tmp_path, capsys):
+    from vertexcover import random_graph
+
+    path = tmp_path / "g.dimacs"
+    path.write_text(serialize_graph(random_graph(30, 0.3, seed=4), "dimacs"))
+    runs = []
+    for name in ("first", "second"):
+        out_dir = tmp_path / name
+        code, _, _ = run_cli(capsys, [
+            "decompose", str(path), "--output-dir", str(out_dir),
+            "--leaf-size", "8", "--seed", "5",
+        ])
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        manifest.pop("preprocessing_seconds")
+        leaves = {p.name: p.read_bytes() for p in out_dir.glob("leaf_*.dimacs")}
+        runs.append((manifest, leaves))
+    (first, first_leaves), (second, second_leaves) = runs
+    assert len(first_leaves) == first["leaf_count"] > 1
+    assert first_leaves == second_leaves
+    assert first == second
+
+
 def test_bench_random_deterministic_modulo_timing(capsys):
     argv = [
         "bench-random", "--n", "8:10:2", "--density", "0.3",

@@ -1,7 +1,9 @@
 import pytest
 
 from vertexcover import (
+    FORMATS,
     GraphParseError,
+    Subproblem,
     build_graph,
     induced_subgraph,
     parse_graph,
@@ -10,7 +12,7 @@ from vertexcover import (
     serialize_graph,
 )
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, path_graph, reparse_by_file_label
 
 
 def test_parse_dimacs_triangle():
@@ -140,25 +142,15 @@ def test_random_graph_avg_degree_sample_mean():
     assert abs(total / 100 - target) <= 1.0
 
 
-@pytest.mark.parametrize("format", ["dimacs", "edge_list", "matrix_market"])
+@pytest.mark.parametrize("format", FORMATS)
 def test_round_trip(format):
     for seed in range(8):
         g = random_graph(3 + 3 * seed, 0.3, seed=seed)
-        reparsed = parse_graph(serialize_graph(g, format), format)
-        assert reparsed.n == g.n
-        if format == "edge_list":
-            # labels in the file are original ids; recover the relabeling
-            order = []
-            for line in serialize_graph(g, format).splitlines():
-                for tok in line.split():
-                    v = int(tok)
-                    if v not in order:
-                        order.append(v)
-            relabel = {orig: new for new, orig in enumerate(order)}
-            expected = {tuple(sorted((relabel[u], relabel[v]))) for u, v in g.edges()}
-            assert set(reparsed.edges()) == expected
-        else:
-            assert set(reparsed.edges()) == set(g.edges())
+        # a subproblem of every other vertex is written as its own graph
+        sub = Subproblem(base=g, alive=g.alive & int("01" * g.n, 2))
+        for instance, graph in ((g, g), (sub, sub.graph)):
+            text = serialize_graph(instance, format)
+            assert reparse_by_file_label(text, format) == graph.adjacency
 
 
 def test_round_trip_keeps_isolated_vertices():

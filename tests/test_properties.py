@@ -2,10 +2,11 @@
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vertexcover import (
+    FORMATS,
     LOWER_METHODS,
     SELECTION_KINDS,
     SolveConfig,
@@ -17,8 +18,11 @@ from vertexcover import (
     exact_leaf_solve,
     is_vertex_cover,
     lb_coloring,
+    serialize_graph,
     solve,
 )
+
+from conftest import reparse_by_file_label
 
 
 @st.composite
@@ -117,3 +121,21 @@ def test_combine_bounds_limit_decides_like_the_full_bound(g, keep):
                 assert bounded == full, (names, limit)
             else:
                 assert 0 <= bounded <= full, (names, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1))
+@example(build_graph(4, [(0, 1), (2, 3)]), 0)
+@example(build_graph(5, [(1, 3)]), 0b11111)
+@example(build_graph(3, [(0, 1), (1, 2)]), 0b101)
+def test_serialize_subproblem_is_its_graph_text(g, keep):
+    """A subproblem is written from its masks exactly as its graph would be,
+    and the text parses back to that graph: empty masks and isolated vertices too."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    for format in FORMATS:
+        text = serialize_graph(sub, format)
+        assert text == serialize_graph(sub.graph, format)
+        # an edge list has no header line, so the empty graph's text is blank
+        # and the parser refuses it as empty input
+        if sub.n or format != "edge_list":
+            assert reparse_by_file_label(text, format) == sub.graph.adjacency

@@ -295,10 +295,13 @@ def serialize_graph(g, format: str = "dimacs") -> str:
     ``alive`` mask, ``vertices()`` and ``n`` are read. The text numbers the
     vertices 0..n-1 in ascending id order, so a subproblem's vertex i is
     ``vertices()[i]`` and its text is that of ``Subproblem.graph``, without
-    building that graph.
+    building that graph. An edge list has no header line, so it cannot hold
+    a graph with no vertices: that raises ``ValueError``.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown graph format {format!r}; expected one of {FORMATS}")
+    if format == "edge_list" and not g.n:
+        raise ValueError("the edge_list format cannot hold a graph with no vertices")
     masks, alive, ids = g.adjacency_masks, g.alive, g.vertices()
     index = {v: i for i, v in enumerate(ids)}
     # edges as (u, v) with u < v, in lexicographic order, as Graph.edges() lists them

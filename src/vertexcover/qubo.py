@@ -123,17 +123,23 @@ def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
     return assignment, best_energy
 
 
-def _neighbor_lists(q: Qubo) -> list[tuple[np.ndarray, np.ndarray]]:
-    per_var: list[tuple[list[int], list[float]]] = [([], []) for _ in range(q.n)]
-    for (i, j), coeff in q.quadratic.items():
-        per_var[i][0].append(j)
-        per_var[i][1].append(coeff)
-        per_var[j][0].append(i)
-        per_var[j][1].append(coeff)
-    return [
-        (np.asarray(idx, dtype=np.int64), np.asarray(co, dtype=np.float64))
-        for idx, co in per_var
-    ]
+def color_classes(q: Qubo) -> list[list[int]]:
+    """Greedy colouring of the coupling graph, in variable-index order.
+
+    Each variable takes the lowest class that holds none of its quadratic
+    partners, so no two variables in one class share a term.
+    """
+    partners: list[set[int]] = [set() for _ in range(q.n)]
+    for i, j in q.quadratic:
+        partners[i].add(j)
+        partners[j].add(i)
+    classes: list[list[int]] = []
+    for v in range(q.n):
+        c = next(c for c, cls in enumerate(classes + [[]]) if partners[v].isdisjoint(cls))
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(v)
+    return classes
 
 
 def solve_anneal(
@@ -144,52 +150,60 @@ def solve_anneal(
 ) -> tuple[np.ndarray, float]:
     """Simulated annealing over ``reads`` independent restarts.
 
-    Each restart runs single-bit-flip Metropolis sweeps under a geometric
-    temperature schedule from the largest coefficient magnitude down to
-    ``ANNEAL_T_END``. Heuristic: the result is always a feasible
-    assignment but not necessarily the global minimum. Deterministic for a
-    fixed seed.
+    Each sweep gives every variable one single-bit-flip Metropolis step
+    under a geometric temperature schedule from the largest coefficient
+    magnitude down to ``ANNEAL_T_END``. Variables in one ``color_classes``
+    class share no term, so a whole class steps at once, in every read,
+    and the step is still exact. Heuristic: the result is always a
+    feasible assignment but not necessarily the global minimum; among the
+    best reads the lowest binary value wins. Deterministic for a fixed seed.
     """
     if reads < 1 or sweeps < 1:
         raise ValueError("reads and sweeps must both be at least 1")
     if q.n == 0:
         return np.zeros(0, dtype=np.uint8), float(q.offset)
     rng = np.random.default_rng(seed)
-    linear = np.asarray(q.linear)
-    neighbors = _neighbor_lists(q)
     coeffs = [abs(c) for c in q.linear] + [abs(c) for c in q.quadratic.values()]
     t_start = max(max(coeffs, default=1.0), 1e-3)
 
-    x = rng.integers(0, 2, size=(reads, q.n)).astype(np.float64)
-    energies = np.full(reads, q.offset) + x @ linear
+    # variables permuted so that each colour class is one contiguous slice
+    classes = color_classes(q)
+    order = np.concatenate(classes)
+    ends = np.cumsum([len(cls) for cls in classes])
+    slices = [slice(end - len(cls), end) for cls, end in zip(classes, ends)]
+    rank = np.argsort(order)
+    couplings = np.zeros((q.n, q.n))
     for (i, j), coeff in q.quadratic.items():
-        energies += coeff * x[:, i] * x[:, j]
+        couplings[rank[i], rank[j]] = couplings[rank[j], rank[i]] = coeff
+    linear = np.asarray(q.linear)[order][:, None]
+
+    # x[v, r] is variable v in read r; field[v, r] is the energy change of x[v] 0 -> 1
+    x = rng.integers(0, 2, size=(q.n, reads)).astype(np.float64)
+    field = linear + couplings @ x
+    energies = q.offset + ((linear + field) * x).sum(0) / 2
     best_energy = energies.copy()
     best_x = x.copy()
 
-    if sweeps > 1:
-        ratio = (ANNEAL_T_END / t_start) ** (1.0 / (sweeps - 1))
-    else:
-        ratio = 1.0
+    ratio = (ANNEAL_T_END / t_start) ** (1.0 / (sweeps - 1)) if sweeps > 1 else 1.0
     temperature = t_start
     for _ in range(sweeps):
-        for v in range(q.n):
-            idx, co = neighbors[v]
-            local = linear[v] + (x[:, idx] @ co if idx.size else 0.0)
-            delta = (1.0 - 2.0 * x[:, v]) * local
-            accept = delta <= 0.0
-            uphill = ~accept
-            if uphill.any():
-                p = np.exp(-np.minimum(delta[uphill] / temperature, 700.0))
-                accept[uphill] = rng.random(int(uphill.sum())) < p
-            x[accept, v] = 1.0 - x[accept, v]
-            energies[accept] += delta[accept]
+        # Metropolis: delta < T * Exp(1) has the probability min(1, exp(-delta / T))
+        draw = temperature * rng.standard_exponential((q.n, reads))
+        for s in slices:
+            direction = 1.0 - 2.0 * x[s]
+            delta = direction * field[s]
+            flip = delta < draw[s]
+            step = direction * flip
+            x[s] += step
+            field += couplings[:, s] @ step
+            energies += (delta * flip).sum(0)
         improved = energies < best_energy
         best_energy[improved] = energies[improved]
-        best_x[improved] = x[improved]
+        best_x[:, improved] = x[:, improved]
         temperature *= ratio
 
     minimum = float(best_energy.min())
+    best_x = best_x[rank].T
     candidates = [
         best_x[k].astype(np.uint8)
         for k in range(reads)

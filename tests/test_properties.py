@@ -1,13 +1,15 @@
-"""Property tests: random small graphs and solver settings against the oracle."""
+"""Property tests: random small graphs, QUBOs and solver settings against the oracles."""
 
 import itertools
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vertexcover import (
     FORMATS,
     LOWER_METHODS,
+    Qubo,
     SELECTION_KINDS,
     SolveConfig,
     Subproblem,
@@ -15,12 +17,16 @@ from vertexcover import (
     build_graph,
     combine_bounds,
     decompose_only,
+    evaluate,
     exact_leaf_solve,
     is_vertex_cover,
     lb_coloring,
     serialize_graph,
     solve,
+    solve_anneal,
+    solve_exhaustive,
 )
+from vertexcover.qubo import color_classes
 
 from conftest import reparse_by_file_label
 
@@ -130,12 +136,44 @@ def test_combine_bounds_limit_decides_like_the_full_bound(g, keep):
 @example(build_graph(3, [(0, 1), (1, 2)]), 0b101)
 def test_serialize_subproblem_is_its_graph_text(g, keep):
     """A subproblem is written from its masks exactly as its graph would be,
-    and the text parses back to that graph: empty masks and isolated vertices too."""
+    and the text parses back to that graph: isolated vertices too. An empty mask
+    is refused in edge-list form and round-trips in the formats with a header."""
     sub = Subproblem(base=g, alive=g.alive & keep)
     for format in FORMATS:
+        if not sub.n and format == "edge_list":
+            # an edge list has no header line to hold the empty graph
+            for instance in (sub, sub.graph):
+                with pytest.raises(ValueError, match="edge_list"):
+                    serialize_graph(instance, format)
+            continue
         text = serialize_graph(sub, format)
         assert text == serialize_graph(sub.graph, format)
-        # an edge list has no header line, so the empty graph's text is blank
-        # and the parser refuses it as empty input
-        if sub.n or format != "edge_list":
-            assert reparse_by_file_label(text, format) == sub.graph.adjacency
+        assert reparse_by_file_label(text, format) == sub.graph.adjacency
+
+
+@st.composite
+def qubos(draw, max_n: int = 12):
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coeff = st.integers(-3, 3).map(float)
+    linear = draw(st.lists(coeff, min_size=n, max_size=n))
+    return Qubo(n=n, linear=tuple(linear), quadratic={key: draw(coeff) for key in keys})
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubos(), st.integers(1, 4), st.integers(1, 5))
+@example(Qubo(n=5, linear=(1.0, -2.0, 0.0, 3.0, -1.0), quadratic={}), 1, 1)
+@example(Qubo(n=3, linear=(-1.0, -1.0, -1.0), quadratic={(0, 1): 2.0, (1, 2): -3.0}), 1, 1)
+def test_color_classes_split_every_coupling(q, reads, sweeps):
+    """The classes partition the variables and no class holds both ends of a
+    term; the anneal built on them returns a feasible, self-consistent answer."""
+    classes = color_classes(q)
+    assert sorted(v for cls in classes for v in cls) == list(range(q.n))
+    color = {v: c for c, cls in enumerate(classes) for v in cls}
+    assert all(color[i] != color[j] for i, j in q.quadratic)
+    if not q.quadratic:
+        assert len(classes) == min(q.n, 1)
+    assignment, energy = solve_anneal(q, reads=reads, sweeps=sweeps, seed=reads + sweeps)
+    assert assignment.shape == (q.n,) and set(assignment.tolist()) <= {0, 1}
+    assert energy == evaluate(q, assignment) >= solve_exhaustive(q)[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vertexcover import (
+    Qubo,
     brute_force_oracle,
     build_graph,
     build_mvc_qubo,
@@ -156,6 +157,50 @@ def test_anneal_never_beats_exhaustive():
         _, exact = solve_exhaustive(q)
         _, heur = solve_anneal(q, seed=seed)
         assert heur >= exact - 1e-9
+
+
+def integer_qubos(count=60, seed=2024):
+    """Fixed random QUBOs, n from 1 to 9, every coefficient an integer in [-3, 3].
+
+    Couplings may be negative or zero; every third instance has a zero row
+    (a variable with no linear weight and no coupling), and sparse draws
+    leave further variables isolated.
+    """
+    rng = np.random.default_rng(seed)
+    qubos = []
+    for i in range(count):
+        n = 1 + i % 9
+        density = (0.3, 0.6, 0.9)[i % 3]
+        linear = [float(c) for c in rng.integers(-3, 4, n)]
+        quadratic = {
+            (u, v): float(rng.integers(-3, 4))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < density
+        }
+        if i % 3 == 0:
+            zero = int(rng.integers(n))
+            linear[zero] = 0.0
+            quadratic = {key: c for key, c in quadratic.items() if zero not in key}
+        qubos.append(Qubo(n=n, linear=tuple(linear), quadratic=quadratic))
+    return qubos
+
+
+def test_anneal_reaches_the_minimum_of_general_qubos():
+    qubos = integer_qubos()
+    # the corpus holds what the docstring promises
+    couplings = [c for q in qubos for c in q.quadratic.values()]
+    assert min(couplings) < 0 and 0.0 in couplings
+    isolated = [
+        q.linear[v] for q in qubos for v in range(q.n)
+        if q.n > 1 and not any(v in key for key in q.quadratic)
+    ]
+    assert 0.0 in isolated and any(isolated)
+    for i, q in enumerate(qubos):
+        _, exact = solve_exhaustive(q)
+        assignment, energy = solve_anneal(q, seed=i)
+        assert energy == exact, (i, q)
+        assert energy == evaluate(q, assignment)
 
 
 def test_anneal_rejects_bad_parameters():

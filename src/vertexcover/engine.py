@@ -7,10 +7,10 @@ prunes the rest of the tree.
 
 Every node is a ``Subproblem``: a bitmask of live vertices over the input
 graph's fixed adjacency masks. Reducing, bounding, selecting, splitting and
-the exact leaf search all work on that mask. A standalone ``Graph`` is built
-only where a subproblem leaves the search: once per QUBO leaf, before its
-solver runs, or, for ``decompose_only``, when the caller reads a leaf's
-``graph``.
+both leaf solvers work on that mask: the exact leaf search directly, and a
+QUBO leaf through ``build_mvc_qubo`` and ``decode_cover``, whose variable i
+is the leaf's vertex ``vertices()[i]``. No node builds a standalone
+``Graph``, and every leaf cover comes back in input-graph ids.
 
 Each node is reduced, then bounded, and only then made a leaf or split.
 It is pruned when its committed vertices plus the best of the
@@ -345,31 +345,28 @@ class _Stats:
         )
 
 
-def _qubo_leaf_cover(graph: Graph, cfg: SolveConfig, leaf_seed: int) -> set[int]:
-    q = build_mvc_qubo(graph)
+def _qubo_leaf_cover(node: Subproblem, cfg: SolveConfig) -> set[int]:
+    q = build_mvc_qubo(node)
     if cfg.leaf_solver == "qubo_exhaustive":
         assignment, _ = solve_exhaustive(q)
     else:
-        assignment, _ = solve_anneal(
-            q, reads=cfg.anneal_reads, sweeps=cfg.anneal_sweeps, seed=leaf_seed
-        )
-    return decode_cover(graph, assignment)
+        seed = cfg.seed * 1_000_003 + node.ordinal
+        assignment, _ = solve_anneal(q, cfg.anneal_reads, cfg.anneal_sweeps, seed)
+    return decode_cover(node, assignment)
 
 
 def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, stats: _Stats):
     """Solve one leaf; only the leaf solver's own call counts as leaf time.
 
-    The exact solver searches the subproblem itself, for a cover that would
-    beat the incumbent; it returns ``None`` when there is none. A QUBO leaf
-    needs a standalone graph, which is built before the leaf timer starts.
+    Both solvers take the subproblem itself and return input-graph ids. The
+    exact one seeks only a cover that beats the incumbent, else ``None``.
     """
-    graph = None if cfg.leaf_solver == "exact" else node.graph
     t0 = time.perf_counter()
     try:
-        if graph is None:
+        if cfg.leaf_solver == "exact":
             cover = exact_leaf_solve(node, incumbent.size - len(node.committed))
         else:
-            cover = _qubo_leaf_cover(graph, cfg, cfg.seed * 1_000_003 + node.ordinal)
+            cover = _qubo_leaf_cover(node, cfg)
     except Exception as exc:
         raise EngineError(
             f"leaf solver {cfg.leaf_solver!r} failed on subproblem "
@@ -377,15 +374,12 @@ def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, st
             f"n={node.n}): {exc}"
         ) from exc
     elapsed = time.perf_counter() - t0
-    if graph is not None:
-        ids = node.vertices()
-        cover = {ids[v] for v in cover}
     if cover is not None:
         incumbent.offer(node.committed | cover)
     stats.merge_leaf(node.depth, node.n, elapsed)
 
 
-def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
+def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
     t_start = time.perf_counter()
     incumbent = _Incumbent(ub_greedy_clique(g)[1])
     stats = _Stats()
@@ -401,7 +395,7 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool, prune_on_equal: bool):
 
         leaf = node.n <= cfg.leaf_size
         if not (leaf and qubo_leaves):
-            need = incumbent.size - len(node.committed) + (0 if prune_on_equal else 1)
+            need = incumbent.size - len(node.committed) + (0 if dispatch else 1)
             if combine_bounds(node, cfg.lower_bounds, need) >= need:
                 stats.pruned[node.depth] += 1
                 continue
@@ -437,7 +431,7 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveResult:
     own success probability.
     """
     cfg = cfg or SolveConfig()
-    incumbent, stats, preprocessing, _ = _run(g, cfg, dispatch=True, prune_on_equal=True)
+    incumbent, stats, preprocessing, _ = _run(g, cfg, dispatch=True)
     if not is_vertex_cover(g, incumbent.cover):
         raise EngineError("internal error: final cover failed validation")
     solution_seconds = preprocessing + cfg.qpu_seconds_per_leaf * stats.leaf_count
@@ -463,9 +457,7 @@ def decompose_only(g: Graph, cfg: SolveConfig | None = None) -> DecomposeResult:
     recovers the exact optimum.
     """
     cfg = cfg or SolveConfig()
-    incumbent, stats, preprocessing, leaves = _run(
-        g, cfg, dispatch=False, prune_on_equal=False
-    )
+    incumbent, stats, preprocessing, leaves = _run(g, cfg, dispatch=False)
     return DecomposeResult(
         leaves=tuple(leaves),
         incumbent_cover=incumbent.cover,

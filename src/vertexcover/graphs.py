@@ -20,6 +20,7 @@ __all__ = [
     "GraphParseError",
     "parse_graph",
     "serialize_graph",
+    "position_edges",
     "induced_subgraph",
     "random_graph",
     "random_graph_avg_degree",
@@ -76,12 +77,6 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -109,6 +104,24 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def position_edges(g) -> list[tuple[int, int]]:
+    """Edges of a Graph or Subproblem as (i, j), i < j, positions in ``vertices()``.
+
+    Read from the masks alone, in lexicographic order: a subproblem's edges
+    are those ``Subproblem.graph.edges()`` would list.
+    """
+    masks, alive, ids = g.adjacency_masks, g.alive, g.vertices()
+    index = {v: i for i, v in enumerate(ids)}
+    edges = []
+    for i, v in enumerate(ids):
+        higher = (masks[v] & alive) >> (v + 1) << (v + 1)
+        while higher:
+            low = higher & -higher
+            edges.append((i, index[low.bit_length() - 1]))
+            higher ^= low
+    return edges
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
@@ -270,6 +283,8 @@ def _parse_matrix_market(text: str) -> Graph:
                 raise GraphParseError(
                     f"adjacency matrix must be square, got {rows}x{cols}", lineno
                 )
+            if rows < 0:
+                raise GraphParseError("negative vertex count", lineno)
             n = rows
             continue
         if len(fields) not in (2, 3):
@@ -302,19 +317,7 @@ def serialize_graph(g, format: str = "dimacs") -> str:
         raise ValueError(f"unknown graph format {format!r}; expected one of {FORMATS}")
     if format == "edge_list" and not g.n:
         raise ValueError("the edge_list format cannot hold a graph with no vertices")
-    masks, alive, ids = g.adjacency_masks, g.alive, g.vertices()
-    index = {v: i for i, v in enumerate(ids)}
-    # edges as (u, v) with u < v, in lexicographic order, as Graph.edges() lists them
-    edges, isolated = [], []
-    for u, v in enumerate(ids):
-        nbrs = masks[v] & alive
-        if not nbrs:
-            isolated.append(u)
-        higher = nbrs >> (v + 1) << (v + 1)
-        while higher:
-            low = higher & -higher
-            edges.append((u, index[low.bit_length() - 1]))
-            higher ^= low
+    edges = position_edges(g)
     n, m = g.n, len(edges)
     if format == "dimacs":
         lines = [f"c undirected graph, {n} vertices, {m} edges", f"p edge {n} {m}"]
@@ -322,8 +325,9 @@ def serialize_graph(g, format: str = "dimacs") -> str:
     elif format == "edge_list":
         # A self-loop line registers a vertex and is dropped by the parser,
         # which is how isolated vertices survive the round trip.
+        masks, alive = g.adjacency_masks, g.alive
         lines = [f"{u} {v}" for u, v in edges]
-        lines.extend(f"{v} {v}" for v in isolated)
+        lines.extend(f"{i} {i}" for i, v in enumerate(g.vertices()) if not masks[v] & alive)
     else:
         lines = ["%%MatrixMarket matrix coordinate pattern symmetric", f"{n} {n} {m}"]
         lines.extend(f"{v + 1} {u + 1}" for u, v in edges)

@@ -13,12 +13,13 @@ quadratic weight penalty_a, plus the constant penalty_a * |E|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import bits, position_edges
 
 __all__ = [
     "Qubo",
@@ -55,19 +56,22 @@ class Qubo:
                 raise ValueError(f"quadratic key ({i}, {j}) must satisfy 0 <= i < j < n")
 
 
-def build_mvc_qubo(g: Graph, penalty_a: float = 2.0, size_b: float = 1.0) -> Qubo:
-    """Cover objective for g; requires 0 < size_b < penalty_a."""
-    if not 0 < size_b < penalty_a:
+def build_mvc_qubo(g, penalty_a: float = 2.0, size_b: float = 1.0) -> Qubo:
+    """Cover objective for a Graph or Subproblem; needs finite 0 < size_b < penalty_a.
+
+    Variable i is vertex ``vertices()[i]``; the keys are ``position_edges(g)``.
+    """
+    if not 0 < size_b < penalty_a < math.inf:
         raise ValueError(
-            f"need 0 < size_b < penalty_a, got size_b={size_b}, penalty_a={penalty_a}"
+            "need finite 0 < size_b < penalty_a, "
+            f"got size_b={size_b}, penalty_a={penalty_a}"
         )
-    linear = tuple(float(size_b - penalty_a * g.degree(v)) for v in g.vertices())
-    quadratic = {(u, v): float(penalty_a) for u, v in g.edges()}
+    edges = position_edges(g)
     return Qubo(
         n=g.n,
-        linear=linear,
-        quadratic=quadratic,
-        offset=float(penalty_a * g.m),
+        linear=tuple(float(size_b - penalty_a * g.degrees[v]) for v in g.vertices()),
+        quadratic=dict.fromkeys(edges, float(penalty_a)),
+        offset=float(penalty_a * len(edges)),
         penalty_a=float(penalty_a),
         size_b=float(size_b),
     )
@@ -218,28 +222,25 @@ def solve_anneal(
     return assignment, evaluate(q, assignment)
 
 
-def decode_cover(g: Graph, x: Sequence[int]) -> set[int]:
-    """Set bits as a cover, repaired to validity and pruned of redundancy.
+def decode_cover(g, x: Sequence[int]) -> set[int]:
+    """Set bits as a valid cover of a Graph or Subproblem, in the ids of g.
 
-    Uncovered edges get their higher-degree endpoint added; afterwards any
-    vertex whose neighbors are all in the set is dropped, scanning from the
-    highest id down. The result is always a valid vertex cover.
+    Variable i is vertex ``vertices()[i]``. Uncovered edges get their
+    higher-degree endpoint added, the lower id on a tie; then any vertex whose
+    neighbors are all in the set is dropped, scanning from the highest id down.
     """
     if len(x) != g.n:
         raise ValueError(f"assignment length {len(x)} != vertex count {g.n}")
-    cover = {v for v in g.vertices() if x[v]}
-    for u, v in g.edges():
-        if u not in cover and v not in cover:
-            if g.degree(u) > g.degree(v):
-                cover.add(u)
-            elif g.degree(v) > g.degree(u):
-                cover.add(v)
-            else:
-                cover.add(min(u, v))
-    for v in sorted(cover, reverse=True):
-        if g.neighbors(v) <= cover:
-            cover.discard(v)
-    return cover
+    masks, alive, ids, degrees = g.adjacency_masks, g.alive, g.vertices(), g.degrees
+    cover = sum(1 << v for i, v in enumerate(ids) if x[i])
+    for i, j in position_edges(g):
+        u, v = ids[i], ids[j]
+        if not (cover >> u & 1 or cover >> v & 1):
+            cover |= 1 << (u if degrees[u] >= degrees[v] else v)
+    for v in reversed(bits(cover)):
+        if not masks[v] & alive & ~cover:
+            cover ^= 1 << v
+    return set(bits(cover))
 
 
 def export_qubo(q: Qubo) -> str:

@@ -33,10 +33,11 @@ class Subproblem:
     subproblem hands out or takes is a ``base`` id. Degrees come from
     ``base``'s fixed adjacency masks restricted to ``alive``, so deleting
     vertices builds no graph. ``committed`` holds ids already decided to be
-    in the cover; they are never alive. ``graph`` builds the residual as a
-    standalone graph on 0..n-1 for QUBO leaf solvers; its vertex i is
-    ``vertices()[i]``. ``serialize_graph`` writes a subproblem's file in that
-    numbering straight from the masks.
+    in the cover; they are never alive. ``serialize_graph``,
+    ``build_mvc_qubo`` and ``decode_cover`` read a subproblem's masks as they
+    read a graph's, numbering its vertices 0..n-1 so that i is
+    ``vertices()[i]``. ``graph`` builds the residual in that numbering as a
+    standalone graph, the reference view they are tested against.
     """
 
     base: Graph

@@ -160,11 +160,12 @@ def test_export_qubo_triangle(tmp_path, capsys):
 def test_export_qubo_rejects_bad_weights(tmp_path, capsys):
     path = tmp_path / "k3.dimacs"
     path.write_text(K3_DIMACS)
-    code, _, err = run_cli(capsys, [
-        "export-qubo", str(path), "--penalty-a", "1", "--size-b", "1",
-    ])
-    assert code == 2
-    assert "penalty" in err
+    for penalty_a in ("1", "inf"):
+        code, _, err = run_cli(capsys, [
+            "export-qubo", str(path), "--penalty-a", penalty_a, "--size-b", "1",
+        ])
+        assert code == 2
+        assert "penalty" in err
 
 
 def test_export_qubo_round_trip(tmp_path, capsys):

@@ -55,6 +55,20 @@ def test_qubo_leaf_is_dispatched_before_the_bound(solver):
     assert result.subproblems_pruned == 0
 
 
+@pytest.mark.parametrize("solver", ["qubo_exhaustive", "qubo_anneal"])
+def test_qubo_leaves_build_no_graph(solver, monkeypatch):
+    # a QUBO leaf is built and decoded from the subproblem's masks
+    def refuse(*args):
+        raise AssertionError("induced_subgraph called on the solve path")
+
+    monkeypatch.setattr("vertexcover.graphs.induced_subgraph", refuse)
+    monkeypatch.setattr("vertexcover.splitting.induced_subgraph", refuse)
+    g = random_graph(20, 0.3, seed=5)
+    result = solve(g, SolveConfig(leaf_size=8, leaf_solver=solver, seed=5))
+    assert result.leaf_count >= 2
+    assert is_vertex_cover(g, result.cover)
+
+
 def test_solve_edgeless():
     result = solve(empty_graph(6))
     assert result.size == 0

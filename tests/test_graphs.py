@@ -69,6 +69,7 @@ def test_parse_matrix_market_ignores_weights():
     ("%%MatrixMarket matrix array real general", "matrix_market", 1),
     ("%%MatrixMarket matrix coordinate pattern symmetric\n2 3 1", "matrix_market", 2),
     ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 9", "matrix_market", 3),
+    ("%%MatrixMarket matrix coordinate pattern symmetric\n-3 -3 0", "matrix_market", 2),
 ])
 def test_parse_errors_name_line(text, format, bad_line):
     with pytest.raises(GraphParseError) as err:

@@ -15,7 +15,9 @@ from vertexcover import (
     Subproblem,
     brute_force_oracle,
     build_graph,
+    build_mvc_qubo,
     combine_bounds,
+    decode_cover,
     decompose_only,
     evaluate,
     exact_leaf_solve,
@@ -149,6 +151,24 @@ def test_serialize_subproblem_is_its_graph_text(g, keep):
         text = serialize_graph(sub, format)
         assert text == serialize_graph(sub.graph, format)
         assert reparse_by_file_label(text, format) == sub.graph.adjacency
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1), st.integers(0, 2**14 - 1))
+@example(build_graph(4, [(0, 1), (2, 3)]), 0, 0)
+@example(build_graph(5, [(1, 3)]), 0b11111, 0b00100)
+@example(build_graph(6, [(0, 1), (1, 2), (4, 5)]), 0b111010, 0b1010)
+def test_qubo_of_subproblem_is_its_graphs(g, keep, assignment):
+    """A subproblem's QUBO is its graph's, with the same key order, and an
+    assignment decodes to the graph's cover in input-graph ids: for an empty
+    mask and isolated vertices too."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    graph, ids = sub.graph, sub.vertices()
+    q, reference = build_mvc_qubo(sub), build_mvc_qubo(graph)
+    assert q == reference
+    assert list(q.quadratic) == list(reference.quadratic) == list(graph.edges())
+    x = [assignment >> i & 1 for i in range(sub.n)]
+    assert decode_cover(sub, x) == {ids[i] for i in decode_cover(graph, x)}
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,14 @@ def test_build_single_edge():
     assert evaluate(q, [1, 0]) == 1.0
 
 
-@pytest.mark.parametrize("penalty_a,size_b", [(2, 2), (1, 2), (2, 0), (2, -1)])
+@pytest.mark.parametrize("penalty_a,size_b", [
+    (2, 2), (1, 2), (2, 0), (2, -1),
+    # non-finite: an infinite penalty gives the isolated vertex 2 the weight 1 - inf * 0
+    (math.inf, 1), (math.inf, math.inf), (math.nan, 1), (2, math.nan),
+])
 def test_build_rejects_bad_weights(penalty_a, size_b):
     with pytest.raises(ValueError):
-        build_mvc_qubo(complete_graph(3), penalty_a=penalty_a, size_b=size_b)
+        build_mvc_qubo(build_graph(3, [(0, 1)]), penalty_a=penalty_a, size_b=size_b)
 
 
 def test_evaluate_triangle():

@@ -108,7 +108,7 @@ def test_split_exhaustive_identity():
         for v in range(g.n):
             s_plus, s_minus = split(s, v)
             assert mvc == min(1 + brute_force_oracle(s_plus.graph),
-                              g.degree(v) + brute_force_oracle(s_minus.graph))
+                              g.degrees[v] + brute_force_oracle(s_minus.graph))
 
 
 def test_split_shrinks_both_children():
@@ -118,7 +118,7 @@ def test_split_shrinks_both_children():
         for v in range(g.n):
             s_plus, s_minus = split(s, v)
             assert s_plus.graph.n == g.n - 1
-            assert s_minus.graph.n == g.n - 1 - g.degree(v)
+            assert s_minus.graph.n == g.n - 1 - g.degrees[v]
 
 
 def test_split_bookkeeping_monotone_and_disjoint():

@@ -110,30 +110,42 @@ def lb_coloring(g, limit: int | None = None) -> int:
 
     The coloring count bounds the complement's clique number from above,
     hence the independence number of g, hence the cover size from below.
-    Vertices are colored in ascending (degree, id) order, that is largest
-    complement degree first; a class can take v when none of its members
-    is a complement neighbour of v, i.e. all of them are neighbours of v.
+    A color class of the complement is a clique of g. Classes are built one
+    at a time in ascending (degree, id) order, largest complement degree
+    first: a class starts at the first uncolored vertex and takes each later
+    one adjacent to all its members, found as the lowest id in the lowest
+    degree level holding one. A class only grows, so a vertex it skips can
+    never join it later: these are first-fit's classes in that order.
 
-    With a ``limit``, coloring stops once the class count exceeds
+    With a ``limit``, coloring stops before the class count would exceed
     ``n - limit``: the count only grows, so the bound can no longer reach
-    ``limit``. The result is then the colored vertices less their classes,
-    a safe bound below ``limit``; whenever the full bound reaches ``limit``
-    the result is that full bound.
+    ``limit``. The result is then the vertices of the completed classes
+    less their number, below ``limit`` and at most the full bound. When the
+    full bound reaches ``limit``, coloring never stops early.
     """
-    masks = g.adjacency_masks
+    masks, degrees = g.adjacency_masks, g.degrees
     most = g.n if limit is None else g.n - limit  # classes the bound can afford
-    classes: list[int] = []  # bitmask of vertices per color class
-    for colored, v in enumerate(sorted(g.vertices(), key=g.degrees.__getitem__), 1):
-        outside = ~masks[v]
-        for i, members in enumerate(classes):
-            if not members & outside:
-                classes[i] = members | (1 << v)
-                break
-        else:
-            classes.append(1 << v)
-            if len(classes) > most:
-                return colored - len(classes)
-    return max(0, g.n - len(classes))
+    by_degree: dict[int, int] = {}
+    for v in g.vertices():
+        by_degree[degrees[v]] = by_degree.get(degrees[v], 0) | 1 << v
+    levels = [by_degree[d] for d in sorted(by_degree)]
+    uncolored = g.alive
+    colored = classes = first = 0
+    while uncolored and classes < most:
+        while not uncolored & levels[first]:
+            first += 1
+        candidates, level = uncolored, first
+        while candidates:
+            found = candidates & levels[level]
+            while not found:
+                level += 1
+                found = candidates & levels[level]
+            low = found & -found
+            uncolored ^= low
+            candidates &= masks[low.bit_length() - 1]
+            colored += 1
+        classes += 1
+    return colored - classes
 
 
 def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -101,9 +102,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(tuple(frozenset(s) for s in adj))
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    flags = bin(mask)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 def position_edges(g) -> list[tuple[int, int]]:

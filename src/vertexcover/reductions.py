@@ -8,6 +8,7 @@ cover of the input extends every commitment made here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 from .graphs import bits
 from .splitting import Subproblem
@@ -30,10 +31,12 @@ class ReductionOutcome:
     cover_contribution: int
 
 
-def _outcome(s: Subproblem, alive: int, committed: set[int]) -> ReductionOutcome:
-    if alive == s.alive:
-        return ReductionOutcome(s, 0, 0)
-    reduced = Subproblem(s.base, alive, s.committed | committed, s.depth, s.ordinal)
+def _outcome(s: Subproblem, alive: int, committed: set[int], degrees=None) -> ReductionOutcome:
+    reduced = s
+    if alive != s.alive:
+        reduced = Subproblem(s.base, alive, s.committed | committed, s.depth, s.ordinal)
+    if degrees is not None:
+        reduced.keep_degrees(degrees)
     return ReductionOutcome(reduced, s.n - reduced.n, len(committed))
 
 
@@ -45,47 +48,54 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
     together with one of a, b covers all three edges (c also dominates b),
     so commit {c, a} and drop the triangle. Each pass applies the first
     rule that fires, at the lowest vertex id it fires on.
+
+    Degrees are counted once, then kept up to date (only the alive neighbours
+    of a deleted vertex change), and handed on as the result's ``degrees``.
     """
     masks = s.adjacency_masks
-    alive = s.alive
+    degrees: dict[int, int] = {}
+    small = [0, 0, 0]  # masks of the alive vertices of degree 0, 1 and 2
     committed: set[int] = set()
+    alive, gone, touched = s.alive, 0, s.alive  # the first pass counts every degree
     while True:
-        isolated = 0
-        pendant = -1
-        degree_two = []
-        for v in bits(alive):
-            degree = (masks[v] & alive).bit_count()
-            if degree == 0:
-                isolated |= 1 << v
-            elif degree == 1 and pendant < 0:
-                pendant = v
-            elif degree == 2:
-                degree_two.append(v)
+        alive &= ~gone
+        for v in bits(gone):
+            del degrees[v]
+            touched |= masks[v]
+        touched &= alive
+        keep = ~(gone | touched)
+        small = [m & keep for m in small]
+        for v in bits(touched):
+            degree = degrees[v] = (masks[v] & alive).bit_count()
+            if degree < 3:
+                small[degree] |= 1 << v
+        isolated, pendants, degree_two = small
+        touched = 0
         if isolated:
-            alive &= ~isolated
-            continue
-        if pendant >= 0:
+            gone = isolated
+        elif pendants:
+            pendant = (pendants & -pendants).bit_length() - 1
             nbr = masks[pendant] & alive
             committed.add(nbr.bit_length() - 1)
-            alive &= ~(nbr | (1 << pendant))
-            continue
-        for a in degree_two:
-            nbrs = masks[a] & alive
-            low = nbrs & -nbrs
-            u, w = low.bit_length() - 1, (nbrs ^ low).bit_length() - 1
-            if not (masks[u] >> w) & 1:
-                continue
-            if (masks[u] & alive).bit_count() == 2:
-                c = w
-            elif (masks[w] & alive).bit_count() == 2:
-                c = u
-            else:
-                continue
-            committed |= {c, a}
-            alive &= ~(nbrs | (1 << a))
-            break
+            gone = nbr | (1 << pendant)
         else:
-            return _outcome(s, alive, committed)
+            for a in bits(degree_two):
+                nbrs = masks[a] & alive
+                low = nbrs & -nbrs
+                u, w = low.bit_length() - 1, (nbrs ^ low).bit_length() - 1
+                if not (masks[u] >> w) & 1:
+                    continue
+                if degrees[u] == 2:
+                    c = w
+                elif degrees[w] == 2:
+                    c = u
+                else:
+                    continue
+                committed |= {c, a}
+                gone = nbrs | (1 << a)
+                break
+            else:
+                return _outcome(s, alive, committed, degrees)
 
 
 def reduce_dominance(s: Subproblem) -> ReductionOutcome:
@@ -111,24 +121,22 @@ def reduce_dominance(s: Subproblem) -> ReductionOutcome:
 
 
 def reduce_chain(s: Subproblem, enabled: list[str] | tuple[str, ...]) -> ReductionOutcome:
-    """Apply the named reductions in order, cycling until nothing changes."""
+    """Apply the named reductions in turn, each to its own fixed point, until
+    every one has run since the last that removed a vertex."""
     for name in enabled:
         if name not in REDUCTIONS:
             raise ValueError(f"unknown reduction {name!r}; expected one of {REDUCTIONS}")
     current = s
-    removed = 0
-    contribution = 0
-    progressing = True
-    while progressing:
-        progressing = False
-        for name in enabled:
-            if name == "neighbor":
-                outcome = reduce_neighbor(current)
-            else:
-                outcome = reduce_dominance(current)
-            if outcome.removed_vertices:
-                progressing = True
-                removed += outcome.removed_vertices
-                contribution += outcome.cover_contribution
-                current = outcome.reduced
+    removed = contribution = 0
+    idle = 0  # reductions run since the last one that removed a vertex
+    names = cycle(enabled)
+    while idle < len(enabled):
+        if next(names) == "neighbor":
+            outcome = reduce_neighbor(current)
+        else:
+            outcome = reduce_dominance(current)
+        idle = 1 if outcome.removed_vertices else idle + 1
+        removed += outcome.removed_vertices
+        contribution += outcome.cover_contribution
+        current = outcome.reduced
     return ReductionOutcome(current, removed, contribution)

@@ -67,6 +67,11 @@ class Subproblem:
         masks, alive = self.base.adjacency_masks, self.alive
         return {v: (masks[v] & alive).bit_count() for v in self.vertices()}
 
+    def keep_degrees(self, degrees: dict[int, int]) -> None:
+        """Cache ``degrees`` counted elsewhere, as ``reduce_neighbor`` hands on
+        those it kept up to date; they must be what ``degrees`` would give."""
+        self.__dict__["degrees"] = degrees
+
     def drop_caches(self) -> None:
         """Forget the cached ``degrees``; a subproblem kept for later holds none."""
         self.__dict__.pop("degrees", None)

@@ -220,6 +220,16 @@ def test_decompose_only_leaves_drop_their_caches(monkeypatch):
     assert list(map(id, dropped)) == list(map(id, dec.leaves))
 
 
+def test_decompose_only_leaves_hold_no_degrees():
+    # the reduction seeds Subproblem.degrees on every node it shrinks; kept
+    # leaves must still hold none, or a long leaf list keeps a dict per leaf
+    for chain in ((), ("neighbor",), ("dominance",), ("neighbor", "dominance")):
+        cfg = SolveConfig(leaf_size=12, reductions=chain, seed=3)
+        dec = decompose_only(random_graph(40, 0.2, seed=3), cfg)
+        assert dec.leaf_count > 1
+        assert all("degrees" not in leaf.__dict__ for leaf in dec.leaves)
+
+
 def test_decompose_only_triangle_recovers_optimum():
     dec = decompose_only(complete_graph(3), SolveConfig(leaf_size=1))
     candidates = [dec.incumbent_size]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vertexcover import (
@@ -11,8 +13,17 @@ from vertexcover import (
     random_graph_avg_degree,
     serialize_graph,
 )
+from vertexcover.graphs import bits
 
 from conftest import complete_graph, path_graph, reparse_by_file_label
+
+
+def test_bits_lists_set_positions_ascending():
+    rng = random.Random(5)
+    masks = [0, 1, 2, 0b1011, 1 << 200]
+    masks += [rng.getrandbits(rng.randint(1, 300)) for _ in range(500)]
+    for mask in masks:
+        assert bits(mask) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 def test_parse_dimacs_triangle():

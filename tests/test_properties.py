@@ -10,6 +10,7 @@ from vertexcover import (
     FORMATS,
     LOWER_METHODS,
     Qubo,
+    REDUCTIONS,
     SELECTION_KINDS,
     SolveConfig,
     Subproblem,
@@ -23,11 +24,14 @@ from vertexcover import (
     exact_leaf_solve,
     is_vertex_cover,
     lb_coloring,
+    reduce_chain,
+    reduce_dominance,
     serialize_graph,
     solve,
     solve_anneal,
     solve_exhaustive,
 )
+from vertexcover.graphs import bits
 from vertexcover.qubo import color_classes
 
 from conftest import reparse_by_file_label
@@ -94,21 +98,128 @@ def test_exact_leaf_solve_cutoff_matches_oracle(g, keep):
                 assert bounded == unbounded
 
 
+def first_fit_classes(g) -> list[int]:
+    """Reference colouring of the complement: each vertex, in ascending (degree,
+    id) order, joins the first class whose members are all its neighbours."""
+    masks = g.adjacency_masks
+    classes: list[int] = []
+    for v in sorted(g.vertices(), key=g.degrees.__getitem__):
+        for i, members in enumerate(classes):
+            if not members & ~masks[v]:
+                classes[i] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
+
+
+def first_fit_bound(g, limit=None) -> int:
+    """The colouring bound from the reference classes. With a ``limit`` whose
+    class budget ``n - limit`` the classes exceed, the early exit: the vertices
+    of the classes within budget less their number."""
+    classes = first_fit_classes(g)
+    most = g.n if limit is None else g.n - limit
+    if len(classes) <= most:
+        return g.n - len(classes)
+    done = classes[:max(most, 0)]
+    return sum(members.bit_count() for members in done) - len(done)
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.integers(0, 2**14 - 1))
+@example(build_graph(1, []), 1)  # limit n + 1 = 2 leaves a class budget of -1
+@example(build_graph(3, []), 0)
 def test_lb_coloring_limit_decides_like_the_full_bound(g, keep):
-    """With a limit the bound reaches it exactly when the full bound does, and is
-    then the full bound; below it, it stays a safe bound. On a graph and a subproblem."""
+    """The bound is first-fit's, and with every limit it is the early exit of
+    first-fit's classes: it reaches the limit exactly when the full bound does,
+    and is then the full bound; below it, it stays a safe bound. On a graph and
+    a subproblem."""
     sub = Subproblem(base=g, alive=g.alive & keep)
     for instance in (g, sub):
         full = lb_coloring(instance)
+        assert full == first_fit_bound(instance)
         for limit in range(instance.n + 2):
             bounded = lb_coloring(instance, limit)
+            assert bounded == first_fit_bound(instance, limit), limit
             assert (bounded >= limit) == (full >= limit)
             if bounded >= limit:
                 assert bounded == full
             else:
                 assert 0 <= bounded <= full
+
+
+def recount_reduce_neighbor(s):
+    """Reference: the same rules with every degree recounted on each pass."""
+    masks, alive, committed = s.adjacency_masks, s.alive, set()
+    while True:
+        degree = {v: (masks[v] & alive).bit_count() for v in bits(alive)}
+        isolated = sum(1 << v for v, d in degree.items() if d == 0)
+        pendants = [v for v, d in degree.items() if d == 1]
+        if isolated:
+            alive &= ~isolated
+            continue
+        if pendants:
+            nbr = masks[pendants[0]] & alive
+            committed.add(nbr.bit_length() - 1)
+            alive &= ~(nbr | 1 << pendants[0])
+            continue
+        for a in (v for v, d in degree.items() if d == 2):
+            u, w = bits(masks[a] & alive)
+            if (masks[u] >> w) & 1 and 2 in (degree[u], degree[w]):
+                committed |= {w if degree[u] == 2 else u, a}
+                alive &= ~(1 << a | 1 << u | 1 << w)
+                break
+        else:
+            return alive, committed
+
+
+def rounds_reduce_chain(s, chain):
+    """Reference: every reduction in turn, whole rounds, until a round changes nothing."""
+    alive, committed = s.alive, set(s.committed)
+    progressing = True
+    while progressing:
+        progressing = False
+        for name in chain:
+            node = Subproblem(s.base, alive, frozenset(committed))
+            if name == "neighbor":
+                after, more = recount_reduce_neighbor(node)
+            else:
+                out = reduce_dominance(node)
+                after, more = out.reduced.alive, out.reduced.committed - node.committed
+            progressing |= after != alive
+            alive, committed = after, committed | more
+    return alive, frozenset(committed)
+
+
+CHAINS = [
+    chain
+    for k in range(len(REDUCTIONS) + 1)
+    for chain in itertools.permutations(REDUCTIONS, k)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1))
+@example(build_graph(3, [(0, 1), (1, 2), (0, 2)]), 0b111)
+@example(build_graph(4, [(0, 1), (1, 2), (2, 3)]), 0b1111)
+def test_reduce_chain_hands_on_fresh_degrees_and_matches_a_recount(g, keep):
+    """Every chain's result carries the degrees a recount gives, in the same key
+    order, is a fixed point of the chain, and removes and commits what the
+    recount-every-pass reference does; on a graph and on a subproblem."""
+    for s in (Subproblem.root(g), Subproblem(base=g, alive=g.alive & keep)):
+        for chain in CHAINS:
+            out = reduce_chain(s, chain)
+            reduced = out.reduced
+            masks, alive = reduced.adjacency_masks, reduced.alive
+            fresh = {v: (masks[v] & alive).bit_count() for v in reduced.vertices()}
+            assert list(reduced.degrees.items()) == list(fresh.items()), chain
+            again = reduce_chain(reduced, chain)
+            assert (again.removed_vertices, again.cover_contribution) == (0, 0), chain
+            assert again.reduced.alive == alive, chain
+            ref_alive, ref_committed = rounds_reduce_chain(s, chain)
+            assert (alive, reduced.committed) == (ref_alive, ref_committed), chain
+            assert out.removed_vertices == s.n - alive.bit_count(), chain
+            assert out.cover_contribution == len(ref_committed - s.committed), chain
 
 
 @settings(max_examples=300, deadline=None)

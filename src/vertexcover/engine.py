@@ -188,7 +188,11 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
     Takes a Graph or a Subproblem and returns vertex ids of what it was
     given. Pendant and isolated vertices are resolved without branching; a
     greedy clique-partition bound prunes against the best cover found so
-    far. The search keeps its open branches on an explicit stack, so its
+    far. Each branch is bounded as it leaves the stack, before its degree
+    scan, and again only if pendants were then removed. A cut subtree holds
+    no cover smaller than the best, so the improving covers, found in the
+    same order, and the result are those of bounding after the scan alone.
+    The search keeps its open branches on an explicit stack, so its
     depth is not limited by the interpreter's recursion limit.
 
     ``limit`` is an optional cutoff: only covers smaller than it are sought,
@@ -215,6 +219,9 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
     while stack:
         alive, chosen = stack.pop()
         count = chosen.bit_count()
+        if count + greedy_clique_partition_bound(masks, alive) >= best_size:
+            continue
+        entry = alive
         while count < best_size:
             max_deg = 0
             branch = -1
@@ -241,7 +248,7 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
         if branch < 0:  # no edges left: a better cover
             best_size, best_cover = count, bits(chosen)
             continue
-        if count + greedy_clique_partition_bound(masks, alive) >= best_size:
+        if alive != entry and count + greedy_clique_partition_bound(masks, alive) >= best_size:
             continue
         nbrs = masks[branch] & alive
         # exclude v first (popped first): committing the whole

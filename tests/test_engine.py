@@ -15,6 +15,7 @@ from vertexcover import (
     exact_leaf_solve,
     is_vertex_cover,
     random_graph,
+    random_graph_avg_degree,
     solve,
 )
 from vertexcover import engine
@@ -26,6 +27,7 @@ from conftest import (
     path_graph,
     petersen_graph,
 )
+from test_properties import scan_bounded_exact_leaf_solve
 
 
 def test_solve_triangle_pruned_at_root():
@@ -295,6 +297,22 @@ def test_exact_leaf_solve_cutoff_examples():
     assert exact_leaf_solve(empty_graph(3), 1) == set()
     assert exact_leaf_solve(empty_graph(3), 0) is None
     assert exact_leaf_solve(empty_graph(0), -2) is None
+
+
+def test_dense_leaf_graph_solves_as_with_the_scan_bounded_leaf_search(monkeypatch):
+    """The benchmark's dense_leaf base graph, whose leaves are full-size exact
+    searches: the optimum 81, and the cover and tree of a run whose leaves bound
+    each branch only after its degree scan."""
+    g = random_graph_avg_degree(100, 20, seed=3)
+    result = solve(g, SolveConfig(seed=1))
+    monkeypatch.setattr(engine, "exact_leaf_solve", scan_bounded_exact_leaf_solve)
+    reference = solve(g, SolveConfig(seed=1))
+    assert result.size == 81
+    assert is_vertex_cover(g, result.cover)
+    assert result.cover == reference.cover
+    assert result.leaf_count == reference.leaf_count
+    assert result.subproblems_generated == reference.subproblems_generated
+    assert result.per_depth_stats == reference.per_depth_stats
 
 
 def gadget_plus_four_cycles(k: int):

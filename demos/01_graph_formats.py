@@ -1,13 +1,8 @@
 #!/usr/bin/env python3
-"""Graphs in and out: parsing, generators, induced subgraphs."""
+"""Graphs in and out: parsing, generators, and the numbering of a leaf hand-off."""
 
-from vertexcover import (
-    induced_subgraph,
-    parse_graph,
-    random_graph,
-    random_graph_avg_degree,
-    serialize_graph,
-)
+from vertexcover import parse_graph, random_graph, random_graph_avg_degree, serialize_graph
+from vertexcover.splitting import Subproblem
 
 # The classic interchange format: a header and one line per edge, 1-indexed.
 dimacs_text = """\
@@ -32,11 +27,13 @@ for fmt in ("edge_list", "matrix_market"):
     again = parse_graph(text, fmt)
     print(f"{fmt}: {len(text.splitlines())} lines, reparsed m={again.m}")
 
-# Induced subgraphs renumber densely: vertex i is the i-th smallest kept id.
-keep = [0, 2, 3, 4]
-sub = induced_subgraph(g, keep)
-print("induced on", keep, ":", sub, "edges in original ids:",
-      [(keep[u], keep[v]) for u, v in sub.edges()])
+# A subproblem (the input graph's vertices still alive) is written as its own
+# graph, numbered densely: its vertex i is vertices()[i], the i-th smallest
+# alive id. Leaf files handed to an annealer use this numbering.
+sub = Subproblem(base=g, alive=0b11101)  # vertices 0, 2, 3, 4
+print("subproblem on", sub.vertices(), "written as:")
+print(serialize_graph(sub, "dimacs"), end="")
+print("leaf vertex i is input vertex", dict(enumerate(sub.vertices())))
 
 # Seeded generators: by edge density, or by target average degree.
 r1 = random_graph(80, 0.25, seed=7)

@@ -8,20 +8,20 @@ the role of annealing hardware here. The exported text form is the hand-off
 point for a real backend.
 """
 
-from vertexcover import (
-    brute_force_oracle,
+from vertexcover import random_graph
+from vertexcover.engine import exact_leaf_solve
+from vertexcover.qubo import (
     build_mvc_qubo,
     decode_cover,
     evaluate,
     export_qubo,
     parse_qubo,
-    random_graph,
     solve_anneal,
     solve_exhaustive,
 )
 
 g = random_graph(12, 0.35, seed=21)
-print("instance:", g, " optimum:", brute_force_oracle(g))
+print("instance:", g, " optimum:", len(exact_leaf_solve(g)))
 
 q = build_mvc_qubo(g, penalty_a=2, size_b=1)
 print("variables:", q.n, " quadratic terms:", len(q.quadratic),

@@ -5,26 +5,25 @@ Bounds sandwich the unknown optimum from both sides; reductions commit
 forced vertices and shrink the instance without losing optimality.
 """
 
-from vertexcover import (
+from vertexcover import build_graph, random_graph
+from vertexcover.bounds import (
     LOWER_METHODS,
-    Subproblem,
-    brute_force_oracle,
-    build_graph,
     combine_bounds,
     lb_coloring,
     lb_matching_half,
     lb_spectral,
-    random_graph,
-    reduce_chain,
     ub_greedy_clique,
 )
+from vertexcover.engine import exact_leaf_solve
+from vertexcover.reductions import reduce_chain
+from vertexcover.splitting import Subproblem
 
 print("=== bounds on random instances ===")
 header = f"{'n':>3} {'opt':>4} {'match':>6} {'spect':>6} {'color':>6} {'clique ub':>9}"
 print(header)
 for seed in range(6):
     g = random_graph(16, 0.2 + 0.12 * seed, seed=seed)
-    opt = brute_force_oracle(g)
+    opt = len(exact_leaf_solve(g))
     ub, witness = ub_greedy_clique(g)
     print(f"{g.n:>3} {opt:>4} {lb_matching_half(g):>6} {lb_spectral(g):>6} "
           f"{lb_coloring(g):>6} {ub:>9}")
@@ -41,16 +40,16 @@ legs = [(i, 5 + i) for i in range(5)]
 caterpillar = build_graph(10, spine + legs)
 out = reduce_chain(Subproblem.root(caterpillar), ["neighbor"])
 print("caterpillar: committed", sorted(out.reduced.committed),
-      "residual size", out.reduced.graph.n,
-      "| optimum", brute_force_oracle(caterpillar))
+      "residual size", out.reduced.n,
+      "| optimum", len(exact_leaf_solve(caterpillar)))
 
 # Dominance handles dense local structure the neighbor rule cannot.
 wheel = build_graph(6, [(0, i) for i in range(1, 6)]
                     + [(i, i % 5 + 1) for i in range(1, 6)])
 out = reduce_chain(Subproblem.root(wheel), ["dominance", "neighbor"])
 print("wheel:       committed", sorted(out.reduced.committed),
-      "residual size", out.reduced.graph.n,
-      "| optimum", brute_force_oracle(wheel))
+      "residual size", out.reduced.n,
+      "| optimum", len(exact_leaf_solve(wheel)))
 
 # On sparse random graphs, reductions often do a large share of the work.
 for seed in (0, 1, 2):

@@ -9,16 +9,11 @@ and reductions along the way, keeps the search exact.
 
 import statistics
 
-from vertexcover import (
-    SolveConfig,
-    brute_force_oracle,
-    decompose_only,
-    random_graph,
-    solve,
-)
+from vertexcover import SolveConfig, decompose_only, random_graph, solve
+from vertexcover.engine import exact_leaf_solve
 
 g = random_graph(22, 0.3, seed=5)
-print("instance:", g, " brute-force optimum:", brute_force_oracle(g))
+print("instance:", g, " optimum:", len(exact_leaf_solve(g)))
 
 for leaf_solver in ("exact", "qubo_exhaustive", "qubo_anneal"):
     cfg = SolveConfig(leaf_size=8, leaf_solver=leaf_solver, seed=5)

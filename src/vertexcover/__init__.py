@@ -6,27 +6,21 @@ pieces are small enough for a direct solver: a branch-and-bound search, an
 exhaustive QUBO sweep, or a simulated annealer standing in for quantum
 annealing hardware. Bounds prune hopeless subproblems and reductions shrink
 the rest along the way.
+
+This namespace holds what a library caller needs: ``solve`` and
+``decompose_only`` with their configuration and results, and the graph
+type with its generators and file formats. Each layer (``splitting``,
+``bounds``, ``reductions``, ``qubo``, ``engine``) is importable on its own.
 """
 
-from .bounds import (
-    LOWER_METHODS,
-    combine_bounds,
-    lb_coloring,
-    lb_matching_half,
-    lb_spectral,
-    ub_greedy_clique,
-)
 from .engine import (
     DecomposeResult,
     DepthStats,
     EngineError,
     LEAF_SIZE_PRESETS,
-    LEAF_SOLVERS,
     SolveConfig,
     SolveResult,
-    brute_force_oracle,
     decompose_only,
-    exact_leaf_solve,
     is_vertex_cover,
     solve,
 )
@@ -35,35 +29,10 @@ from .graphs import (
     Graph,
     GraphParseError,
     build_graph,
-    induced_subgraph,
     parse_graph,
     random_graph,
     random_graph_avg_degree,
     serialize_graph,
-)
-from .qubo import (
-    EXHAUSTIVE_CAP,
-    Qubo,
-    build_mvc_qubo,
-    decode_cover,
-    evaluate,
-    export_qubo,
-    parse_qubo,
-    solve_anneal,
-    solve_exhaustive,
-)
-from .reductions import (
-    REDUCTIONS,
-    ReductionOutcome,
-    reduce_chain,
-    reduce_dominance,
-    reduce_neighbor,
-)
-from .splitting import (
-    SELECTION_KINDS,
-    Subproblem,
-    select_vertex,
-    split,
 )
 
 __version__ = "0.1.0"
@@ -72,46 +41,18 @@ __all__ = [
     "DecomposeResult",
     "DepthStats",
     "EngineError",
-    "EXHAUSTIVE_CAP",
     "FORMATS",
     "Graph",
     "GraphParseError",
     "LEAF_SIZE_PRESETS",
-    "LEAF_SOLVERS",
-    "LOWER_METHODS",
-    "Qubo",
-    "REDUCTIONS",
-    "ReductionOutcome",
-    "SELECTION_KINDS",
     "SolveConfig",
     "SolveResult",
-    "Subproblem",
-    "brute_force_oracle",
     "build_graph",
-    "build_mvc_qubo",
-    "combine_bounds",
-    "decode_cover",
     "decompose_only",
-    "evaluate",
-    "exact_leaf_solve",
-    "export_qubo",
-    "induced_subgraph",
     "is_vertex_cover",
-    "lb_coloring",
-    "lb_matching_half",
-    "lb_spectral",
     "parse_graph",
-    "parse_qubo",
     "random_graph",
     "random_graph_avg_degree",
-    "reduce_chain",
-    "reduce_dominance",
-    "reduce_neighbor",
-    "select_vertex",
     "serialize_graph",
     "solve",
-    "solve_anneal",
-    "solve_exhaustive",
-    "split",
-    "ub_greedy_clique",
 ]

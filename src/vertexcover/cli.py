@@ -120,6 +120,9 @@ def _config_fingerprint(args: argparse.Namespace) -> str:
         f"leaf={args.leaf_solver}",
         f"size={args.leaf_size}",
         f"seed={args.seed}",
+        f"reads={args.anneal_reads}",
+        f"sweeps={args.anneal_sweeps}",
+        f"qpu={args.qpu_seconds:g}",
     ])
 
 
@@ -151,8 +154,8 @@ def _load_graph(args: argparse.Namespace):
 # -- commands ----------------------------------------------------------------
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
     cfg = _config_from_args(args)
+    g = _load_graph(args)
     try:
         result = solve(g, cfg)
     except EngineError as exc:
@@ -287,8 +290,8 @@ def cmd_export_qubo(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
     cfg = _config_from_args(args)
+    g = _load_graph(args)
     out_dir = Path(args.output_dir)
     # a second run would leave the first run's surplus leaf files beside its
     # manifest, so an earlier hand-off is refused, never overwritten

@@ -67,14 +67,12 @@ __all__ = [
     "solve",
     "decompose_only",
     "exact_leaf_solve",
-    "brute_force_oracle",
     "is_vertex_cover",
 ]
 
 LEAF_SIZE_PRESETS = {"2x": 46, "2000q": 65, "pegasus": 180}
 LEAF_SOLVERS = ("exact", "qubo_exhaustive", "qubo_anneal")
 EXACT_LEAF_COMFORT_CAP = 64
-ORACLE_CAP = 24
 
 
 class EngineError(RuntimeError):
@@ -89,7 +87,8 @@ class SolveConfig:
     ``lower_bounds`` names the lower bounds a node is pruned on, from
     ``LOWER_METHODS``; ``clique_upper_bound`` offers each unpruned node's
     greedy-clique cover to the incumbent.
-    ``seed`` seeds both its tie-breaks and the annealer.
+    ``seed``, which must be non-negative, seeds both its tie-breaks and the
+    annealer.
     ``qpu_seconds_per_leaf`` is the modeled per-leaf annealer access cost
     used for the solution-time metric.
     """
@@ -125,6 +124,8 @@ class SolveConfig:
         for name in self.reductions:
             if name not in REDUCTIONS:
                 raise ValueError(f"unknown reduction {name!r}; expected one of {REDUCTIONS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.anneal_reads < 1:
             raise ValueError(f"anneal_reads must be at least 1, got {self.anneal_reads}")
         if self.anneal_sweeps < 1:
@@ -256,62 +257,6 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
         stack.append((alive & ~(1 << branch), chosen | (1 << branch)))
         stack.append((alive & ~(nbrs | (1 << branch)), chosen | nbrs))
     return None if best_cover is None else set(best_cover)
-
-
-def brute_force_oracle(g: Graph) -> int:
-    """Minimum cover size by enumerating vertex subsets in increasing cardinality.
-
-    Deliberately a separate code path from the solvers so it can vouch for
-    them. Enumeration starts at a counting lower bound (greedy matching and
-    greedy clique partition), which skips only levels that cannot contain a
-    cover.
-    """
-    n = g.n
-    if n > ORACLE_CAP:
-        raise ValueError(f"oracle capped at {ORACLE_CAP} vertices, got {n}")
-    if g.m == 0:
-        return 0
-    masks = g.adjacency_masks
-    full = (1 << n) - 1
-
-    matching = 0
-    taken = 0
-    for u, v in g.edges():
-        if not (taken >> u) & 1 and not (taken >> v) & 1:
-            taken |= (1 << u) | (1 << v)
-            matching += 1
-
-    unused = full
-    cliques = 0
-    while unused:
-        v = (unused & -unused).bit_length() - 1
-        unused &= ~(1 << v)
-        cand = masks[v] & unused
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            unused &= ~(1 << w)
-            cand &= masks[w] & unused
-        cliques += 1
-
-    def complement_independent(subset: int) -> bool:
-        outside = full ^ subset
-        scan = outside
-        while scan:
-            v = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            if masks[v] & outside:
-                return False
-        return True
-
-    for k in range(max(matching, n - cliques, 1), n + 1):
-        subset = (1 << k) - 1
-        while subset <= full:
-            if complement_independent(subset):
-                return k
-            low = subset & -subset
-            ripple = subset + low
-            subset = (((ripple ^ subset) >> 2) // low) | ripple
-    return n
 
 
 # -- traversal ---------------------------------------------------------------

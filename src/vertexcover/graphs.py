@@ -1,9 +1,8 @@
 """Undirected simple graphs: representation, generators, and file formats.
 
-Vertex ids are always the dense range 0..n-1. Parsers normalize arbitrary
-input labels to that range, and ``induced_subgraph`` renumbers the vertices
-it keeps in ascending order. ``bits`` lists the vertices of a bitmask, the
-form the solver's hot loops work in.
+Vertex ids are always the dense range 0..n-1, and parsers normalize
+arbitrary input labels to that range. ``bits`` lists the vertices of a
+bitmask, the form the solver's hot loops work in.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "position_edges",
-    "induced_subgraph",
     "random_graph",
     "random_graph_avg_degree",
     "FORMATS",
@@ -115,7 +113,7 @@ def position_edges(g) -> list[tuple[int, int]]:
     """Edges of a Graph or Subproblem as (i, j), i < j, positions in ``vertices()``.
 
     Read from the masks alone, in lexicographic order: a subproblem's edges
-    are those ``Subproblem.graph.edges()`` would list.
+    are those of its residual graph renumbered to 0..n-1.
     """
     masks, alive, ids = g.adjacency_masks, g.alive, g.vertices()
     index = {v: i for i, v in enumerate(ids)}
@@ -129,26 +127,14 @@ def position_edges(g) -> list[tuple[int, int]]:
     return edges
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Subgraph on ``keep``; its vertex i is ``sorted(set(keep))[i]``."""
-    kept = sorted(set(keep))
-    for v in kept:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} not in graph of size {g.n}")
-    index = {orig: new for new, orig in enumerate(kept)}
-    adj = tuple(
-        frozenset(index[u] for u in g.adjacency[orig] if u in index)
-        for orig in kept
-    )
-    return Graph(adj)
-
-
 def random_graph(n: int, density: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with p = density, deterministic per seed."""
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not pairs:
@@ -314,9 +300,10 @@ def serialize_graph(g, format: str = "dimacs") -> str:
     ``g`` is a Graph or a Subproblem alike: only ``adjacency_masks``, the
     ``alive`` mask, ``vertices()`` and ``n`` are read. The text numbers the
     vertices 0..n-1 in ascending id order, so a subproblem's vertex i is
-    ``vertices()[i]`` and its text is that of ``Subproblem.graph``, without
-    building that graph. An edge list has no header line, so it cannot hold
-    a graph with no vertices: that raises ``ValueError``.
+    ``vertices()[i]`` and its text is that of its residual graph renumbered
+    the same way, without building that graph. An edge list has no header
+    line, so it cannot hold a graph with no vertices: that raises
+    ``ValueError``.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown graph format {format!r}; expected one of {FORMATS}")

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, bits, induced_subgraph
+from .graphs import Graph, bits
 
 __all__ = [
     "Subproblem",
@@ -36,8 +36,7 @@ class Subproblem:
     in the cover; they are never alive. ``serialize_graph``,
     ``build_mvc_qubo`` and ``decode_cover`` read a subproblem's masks as they
     read a graph's, numbering its vertices 0..n-1 so that i is
-    ``vertices()[i]``. ``graph`` builds the residual in that numbering as a
-    standalone graph, the reference view they are tested against.
+    ``vertices()[i]``.
     """
 
     base: Graph
@@ -75,15 +74,6 @@ class Subproblem:
     def drop_caches(self) -> None:
         """Forget the cached ``degrees``; a subproblem kept for later holds none."""
         self.__dict__.pop("degrees", None)
-
-    @property
-    def graph(self) -> Graph:
-        """The residual graph, renumbered to 0..n-1 in ascending id order.
-
-        Built afresh on every access and not kept, so a list of leaves
-        holds no graphs.
-        """
-        return induced_subgraph(self.base, self.vertices())
 
 
 def select_vertex(s: Subproblem, kind: str, seed: int) -> int:

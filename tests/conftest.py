@@ -2,7 +2,9 @@ from itertools import product
 
 import pytest
 
-from vertexcover import Graph, build_graph, brute_force_oracle, parse_graph, random_graph
+from vertexcover import Graph, build_graph, parse_graph, random_graph
+
+from reference import brute_force_oracle
 
 
 def path_graph(n: int) -> Graph:

@@ -3,21 +3,19 @@ import random
 
 import pytest
 
-from vertexcover import (
+from vertexcover import SolveConfig, is_vertex_cover, random_graph
+from vertexcover.bounds import (
     LOWER_METHODS,
-    SolveConfig,
-    Subproblem,
-    brute_force_oracle,
     combine_bounds,
-    is_vertex_cover,
+    greedy_clique_partition_bound,
     lb_coloring,
     lb_matching_half,
     lb_spectral,
-    random_graph,
     ub_greedy_clique,
 )
-from vertexcover.bounds import greedy_clique_partition_bound
+from vertexcover.splitting import Subproblem
 
+from reference import brute_force_oracle, residual_graph
 from conftest import complete_graph, cycle_graph, empty_graph, path_graph
 
 
@@ -91,11 +89,12 @@ def test_spectral_on_subproblem_matches_its_graph(corpus_n16):
     rng = random.Random(5)
     for g, _ in corpus_n16:
         sub = Subproblem(base=g, alive=rng.getrandbits(g.n))
-        assert lb_spectral(sub) == lb_spectral(sub.graph)
+        assert lb_spectral(sub) == lb_spectral(residual_graph(sub))
     # a residual that keeps edges, to rule out agreement by emptiness alone
     g = complete_graph(6)
     sub = Subproblem(base=g, alive=0b110101)
-    assert lb_spectral(sub) == lb_spectral(sub.graph) == lb_spectral(complete_graph(4))
+    assert (lb_spectral(sub) == lb_spectral(residual_graph(sub))
+            == lb_spectral(complete_graph(4)))
 
 
 def test_lower_never_exceeds_upper_when_sound(corpus_n16):

@@ -4,19 +4,13 @@ import json
 
 import pytest
 
-from vertexcover import (
-    LOWER_METHODS,
-    SolveConfig,
-    brute_force_oracle,
-    exact_leaf_solve,
-    is_vertex_cover,
-    parse_graph,
-    parse_qubo,
-    serialize_graph,
-)
-from vertexcover import cli
+from vertexcover import SolveConfig, cli, is_vertex_cover, parse_graph, serialize_graph
+from vertexcover.bounds import LOWER_METHODS
 from vertexcover.cli import main
+from vertexcover.engine import exact_leaf_solve
+from vertexcover.qubo import parse_qubo
 
+from reference import brute_force_oracle
 from conftest import complete_graph
 
 
@@ -115,6 +109,31 @@ def test_bad_numeric_solver_flag_exit_2(tmp_path, capsys, command, flags):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "decompose", "bench-random"])
+@pytest.mark.parametrize("leaf_solver", ["exact", "qubo-anneal"])
+def test_negative_seed_exit_2_before_any_graph(tmp_path, capsys, monkeypatch, command,
+                                               leaf_solver):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the seed was checked")
+
+    for name in ("parse_graph", "random_graph", "random_graph_avg_degree"):
+        monkeypatch.setattr(cli, name, no_graph)
+    path = tmp_path / "k3.dimacs"
+    path.write_text(K3_DIMACS)
+    args = {
+        "solve": ["solve", str(path)],
+        "decompose": ["decompose", str(path), "--output-dir", str(tmp_path / "out")],
+        "bench-random": ["bench-random", "--n", "20,30", "--avg-degree", "4", "--reps", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--leaf-solver", leaf_solver, "--seed", "-1"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_solver_abort_exit_3(tmp_path, capsys):
     from vertexcover import random_graph
 
@@ -169,7 +188,8 @@ def test_export_qubo_rejects_bad_weights(tmp_path, capsys):
 
 
 def test_export_qubo_round_trip(tmp_path, capsys):
-    from vertexcover import build_mvc_qubo, random_graph
+    from vertexcover import random_graph
+    from vertexcover.qubo import build_mvc_qubo
 
     g = random_graph(9, 0.5, seed=12)
     path = tmp_path / "g.dimacs"
@@ -323,6 +343,22 @@ def test_bench_random_deterministic_modulo_timing(capsys):
         ])
     assert tables[0] == tables[1]
     assert len(tables[0]) == 2
+
+
+@pytest.mark.parametrize("flag, values", [
+    ("--qpu-seconds", ("1.6", "2.5")),
+    ("--anneal-reads", ("100", "50")),
+    ("--anneal-sweeps", ("100", "50")),
+])
+def test_bench_random_config_names_each_result_flag(capsys, flag, values):
+    configs = []
+    for value in values:
+        code, out, _ = run_cli(capsys, [
+            "bench-random", "--n", "8", "--density", "0.3", "--reps", "1", flag, value,
+        ])
+        assert code == 0
+        configs.append(list(csv.reader(io.StringIO(out)))[1][-1])
+    assert configs[0] != configs[1]
 
 
 def test_bench_random_avg_degree_grid(capsys):

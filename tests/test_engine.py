@@ -6,20 +6,21 @@ import sys
 import pytest
 
 from vertexcover import (
-    LOWER_METHODS,
     EngineError,
+    Graph,
     SolveConfig,
-    brute_force_oracle,
     build_graph,
     decompose_only,
-    exact_leaf_solve,
     is_vertex_cover,
     random_graph,
     random_graph_avg_degree,
     solve,
 )
 from vertexcover import engine
+from vertexcover.bounds import LOWER_METHODS
+from vertexcover.engine import exact_leaf_solve
 
+from reference import brute_force_oracle, residual_graph
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -61,11 +62,10 @@ def test_qubo_leaf_is_dispatched_before_the_bound(solver):
 def test_qubo_leaves_build_no_graph(solver, monkeypatch):
     # a QUBO leaf is built and decoded from the subproblem's masks
     def refuse(*args):
-        raise AssertionError("induced_subgraph called on the solve path")
+        raise AssertionError("Graph built on the solve path")
 
-    monkeypatch.setattr("vertexcover.graphs.induced_subgraph", refuse)
-    monkeypatch.setattr("vertexcover.splitting.induced_subgraph", refuse)
     g = random_graph(20, 0.3, seed=5)
+    monkeypatch.setattr(Graph, "__init__", refuse)
     result = solve(g, SolveConfig(leaf_size=8, leaf_solver=solver, seed=5))
     assert result.leaf_count >= 2
     assert is_vertex_cover(g, result.cover)
@@ -209,7 +209,7 @@ def test_decompose_only_whole_graph_is_single_leaf():
     g = random_graph(12, 0.4, seed=21)
     dec = decompose_only(g, SolveConfig(leaf_size=20, reductions=(), seed=21))
     assert dec.leaf_count == 1
-    assert dec.leaves[0].graph.adjacency == g.adjacency
+    assert residual_graph(dec.leaves[0]).adjacency == g.adjacency
     assert dec.leaves[0].committed == frozenset()
 
 
@@ -236,7 +236,8 @@ def test_decompose_only_triangle_recovers_optimum():
     dec = decompose_only(complete_graph(3), SolveConfig(leaf_size=1))
     candidates = [dec.incumbent_size]
     candidates += [
-        len(leaf.committed) + brute_force_oracle(leaf.graph) for leaf in dec.leaves
+        len(leaf.committed) + brute_force_oracle(residual_graph(leaf))
+        for leaf in dec.leaves
     ]
     assert min(candidates) == 2
 
@@ -247,7 +248,7 @@ def test_decompose_only_leaf_minimum_equals_oracle():
         oracle = brute_force_oracle(g)
         dec = decompose_only(g, SolveConfig(leaf_size=5, seed=seed))
         best = min(
-            len(leaf.committed) + brute_force_oracle(leaf.graph)
+            len(leaf.committed) + brute_force_oracle(residual_graph(leaf))
             for leaf in dec.leaves
         )
         assert best == oracle
@@ -268,6 +269,7 @@ def test_config_validation():
     ("qpu_seconds_per_leaf", -1.0),
     ("qpu_seconds_per_leaf", float("nan")),
     ("qpu_seconds_per_leaf", float("inf")),
+    ("seed", -1),
 ])
 def test_config_rejects_bad_numeric_settings(field, value):
     with pytest.raises(ValueError, match=field):

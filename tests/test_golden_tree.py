@@ -22,15 +22,15 @@ from pathlib import Path
 import pytest
 
 from vertexcover import (
-    LOWER_METHODS,
-    SELECTION_KINDS,
     SolveConfig,
     decompose_only,
-    exact_leaf_solve,
     random_graph,
     random_graph_avg_degree,
     solve,
 )
+from vertexcover.bounds import LOWER_METHODS
+from vertexcover.engine import exact_leaf_solve
+from vertexcover.splitting import SELECTION_KINDS
 
 from conftest import keller_benchmark_graph
 

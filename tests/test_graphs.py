@@ -5,16 +5,16 @@ import pytest
 from vertexcover import (
     FORMATS,
     GraphParseError,
-    Subproblem,
     build_graph,
-    induced_subgraph,
     parse_graph,
     random_graph,
     random_graph_avg_degree,
     serialize_graph,
 )
 from vertexcover.graphs import bits
+from vertexcover.splitting import Subproblem
 
+from reference import induced_subgraph, residual_graph
 from conftest import complete_graph, path_graph, reparse_by_file_label
 
 
@@ -129,6 +129,11 @@ def test_random_graph_rejects_negative_size():
         random_graph_avg_degree(-3, 0, seed=3)
 
 
+def test_random_graph_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        random_graph(5, 0.5, seed=-1)
+
+
 def test_random_graph_deterministic():
     a = random_graph(80, 0.5, seed=42)
     b = random_graph(80, 0.5, seed=42)
@@ -160,7 +165,7 @@ def test_round_trip(format):
         g = random_graph(3 + 3 * seed, 0.3, seed=seed)
         # a subproblem of every other vertex is written as its own graph
         sub = Subproblem(base=g, alive=g.alive & int("01" * g.n, 2))
-        for instance, graph in ((g, g), (sub, sub.graph)):
+        for instance, graph in ((g, g), (sub, residual_graph(sub))):
             text = serialize_graph(instance, format)
             assert reparse_by_file_label(text, format) == graph.adjacency
 

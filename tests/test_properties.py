@@ -8,33 +8,35 @@ from hypothesis import strategies as st
 
 from vertexcover import (
     FORMATS,
-    LOWER_METHODS,
-    Qubo,
-    REDUCTIONS,
-    SELECTION_KINDS,
     SolveConfig,
-    Subproblem,
-    brute_force_oracle,
     build_graph,
-    build_mvc_qubo,
-    combine_bounds,
-    decode_cover,
     decompose_only,
-    evaluate,
-    exact_leaf_solve,
     is_vertex_cover,
-    lb_coloring,
-    reduce_chain,
-    reduce_dominance,
     serialize_graph,
     solve,
+)
+from vertexcover.bounds import (
+    LOWER_METHODS,
+    combine_bounds,
+    greedy_clique_partition_bound,
+    lb_coloring,
+    ub_greedy_clique,
+)
+from vertexcover.engine import exact_leaf_solve
+from vertexcover.graphs import bits
+from vertexcover.qubo import (
+    Qubo,
+    build_mvc_qubo,
+    color_classes,
+    decode_cover,
+    evaluate,
     solve_anneal,
     solve_exhaustive,
 )
-from vertexcover.bounds import greedy_clique_partition_bound, ub_greedy_clique
-from vertexcover.graphs import bits
-from vertexcover.qubo import color_classes
+from vertexcover.reductions import REDUCTIONS, reduce_chain, reduce_dominance
+from vertexcover.splitting import SELECTION_KINDS, Subproblem
 
+from reference import brute_force_oracle, residual_graph
 from conftest import reparse_by_file_label
 
 
@@ -76,9 +78,10 @@ def test_decompose_only_offline_completion_matches_oracle(g, cfg):
     for leaf in dec.leaves:
         ids = leaf.vertices()
         assert not leaf.committed & set(ids)
-        completion = leaf.committed | {ids[v] for v in exact_leaf_solve(leaf.graph)}
+        leaf_cover = exact_leaf_solve(residual_graph(leaf))
+        completion = leaf.committed | {ids[v] for v in leaf_cover}
         assert is_vertex_cover(g, completion)
-        sizes.append(len(leaf.committed) + brute_force_oracle(leaf.graph))
+        sizes.append(len(leaf.committed) + brute_force_oracle(residual_graph(leaf)))
     assert is_vertex_cover(g, dec.incumbent_cover)
     assert min(sizes) == brute_force_oracle(g)
 
@@ -89,7 +92,8 @@ def test_exact_leaf_solve_cutoff_matches_oracle(g, keep):
     """With a cutoff the leaf solver returns None exactly when no smaller cover exists,
     and otherwise the cover it returns without one; on a graph and on a subproblem."""
     sub = Subproblem(base=g, alive=g.alive & keep)
-    for instance, optimum in ((g, brute_force_oracle(g)), (sub, brute_force_oracle(sub.graph))):
+    optimum_of_sub = brute_force_oracle(residual_graph(sub))
+    for instance, optimum in ((g, brute_force_oracle(g)), (sub, optimum_of_sub)):
         unbounded = exact_leaf_solve(instance)
         for limit in range(instance.n + 2):
             bounded = exact_leaf_solve(instance, limit)
@@ -323,13 +327,13 @@ def test_serialize_subproblem_is_its_graph_text(g, keep):
     for format in FORMATS:
         if not sub.n and format == "edge_list":
             # an edge list has no header line to hold the empty graph
-            for instance in (sub, sub.graph):
+            for instance in (sub, residual_graph(sub)):
                 with pytest.raises(ValueError, match="edge_list"):
                     serialize_graph(instance, format)
             continue
         text = serialize_graph(sub, format)
-        assert text == serialize_graph(sub.graph, format)
-        assert reparse_by_file_label(text, format) == sub.graph.adjacency
+        assert text == serialize_graph(residual_graph(sub), format)
+        assert reparse_by_file_label(text, format) == residual_graph(sub).adjacency
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,7 +346,7 @@ def test_qubo_of_subproblem_is_its_graphs(g, keep, assignment):
     assignment decodes to the graph's cover in input-graph ids: for an empty
     mask and isolated vertices too."""
     sub = Subproblem(base=g, alive=g.alive & keep)
-    graph, ids = sub.graph, sub.vertices()
+    graph, ids = residual_graph(sub), sub.vertices()
     q, reference = build_mvc_qubo(sub), build_mvc_qubo(graph)
     assert q == reference
     assert list(q.quadratic) == list(reference.quadratic) == list(graph.edges())

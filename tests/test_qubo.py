@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from vertexcover import (
+from vertexcover import build_graph, is_vertex_cover, random_graph
+from vertexcover.qubo import (
     Qubo,
-    brute_force_oracle,
-    build_graph,
     build_mvc_qubo,
     decode_cover,
     evaluate,
     export_qubo,
-    is_vertex_cover,
     parse_qubo,
-    random_graph,
     solve_anneal,
     solve_exhaustive,
 )
 
+from reference import brute_force_oracle
 from conftest import complete_graph, empty_graph
 
 
@@ -122,7 +120,7 @@ def test_ground_state_is_cover_size(corpus_n16):
 
 
 def test_cover_energy_identity():
-    from vertexcover import exact_leaf_solve
+    from vertexcover.engine import exact_leaf_solve
 
     for seed in range(10):
         g = random_graph(8, 0.5, seed=60 + seed)

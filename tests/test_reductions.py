@@ -1,15 +1,10 @@
 import pytest
 
-from vertexcover import (
-    Subproblem,
-    brute_force_oracle,
-    build_graph,
-    random_graph,
-    reduce_chain,
-    reduce_dominance,
-    reduce_neighbor,
-)
+from vertexcover import build_graph, random_graph
+from vertexcover.reductions import reduce_chain, reduce_dominance, reduce_neighbor
+from vertexcover.splitting import Subproblem
 
+from reference import brute_force_oracle, residual_graph
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
@@ -17,13 +12,13 @@ def test_neighbor_isolated_triangle():
     out = reduce_neighbor(Subproblem.root(complete_graph(3)))
     assert out.removed_vertices == 3
     assert out.cover_contribution == 2
-    assert out.reduced.graph.n == 0
+    assert residual_graph(out.reduced).n == 0
 
 
 def test_neighbor_path3():
     out = reduce_neighbor(Subproblem.root(path_graph(3)))
     assert out.cover_contribution == 1
-    assert out.reduced.graph.n == 0
+    assert residual_graph(out.reduced).n == 0
     assert out.reduced.committed == {1}
 
 
@@ -32,7 +27,7 @@ def test_neighbor_triangle_with_pendant():
     g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     out = reduce_neighbor(Subproblem.root(g))
     assert out.cover_contribution == 2
-    assert out.reduced.graph.n == 0
+    assert residual_graph(out.reduced).n == 0
     assert out.cover_contribution == brute_force_oracle(g)
 
 
@@ -41,28 +36,28 @@ def test_neighbor_triangle_rule_commits_shared_vertex():
     g = build_graph(5, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
     out = reduce_neighbor(Subproblem.root(g))
     assert 4 in out.reduced.committed
-    total = len(out.reduced.committed) + brute_force_oracle(out.reduced.graph)
+    total = len(out.reduced.committed) + brute_force_oracle(residual_graph(out.reduced))
     assert total == brute_force_oracle(g)
 
 
 def test_dominance_single_edge():
     out = reduce_dominance(Subproblem.root(path_graph(2)))
     assert out.cover_contribution == 1
-    assert out.reduced.graph.m == 0
+    assert residual_graph(out.reduced).m == 0
 
 
 def test_dominance_star_commits_center():
     out = reduce_dominance(Subproblem.root(star_graph(4)))
     assert out.reduced.committed == {0}
     assert out.cover_contribution == 1
-    assert out.reduced.graph.m == 0
+    assert residual_graph(out.reduced).m == 0
 
 
 def test_dominance_c5_identity():
     out = reduce_dominance(Subproblem.root(cycle_graph(5)))
     assert out.removed_vertices == 0
     assert out.cover_contribution == 0
-    assert out.reduced.graph.adjacency == cycle_graph(5).adjacency
+    assert residual_graph(out.reduced).adjacency == cycle_graph(5).adjacency
 
 
 def test_chain_empty_is_identity():
@@ -75,13 +70,13 @@ def test_chain_empty_is_identity():
 def test_chain_dominance_solves_path3():
     out = reduce_chain(Subproblem.root(path_graph(3)), ["dominance"])
     assert out.cover_contribution == 1
-    assert out.reduced.graph.m == 0
+    assert residual_graph(out.reduced).m == 0
 
 
 def test_chain_solves_k4():
     out = reduce_chain(Subproblem.root(complete_graph(4)), ["neighbor", "dominance"])
     assert out.cover_contribution == 3
-    assert out.reduced.graph.n == 0
+    assert residual_graph(out.reduced).n == 0
 
 
 def test_chain_unknown_name():
@@ -98,7 +93,8 @@ def test_chain_unknown_name():
 def test_reduction_soundness(chain, corpus_n16):
     for g, oracle in corpus_n16[:60]:
         out = reduce_chain(Subproblem.root(g), list(chain))
-        total = len(out.reduced.committed) + brute_force_oracle(out.reduced.graph)
+        total = len(out.reduced.committed) + brute_force_oracle(
+            residual_graph(out.reduced))
         assert total == oracle
         assert out.cover_contribution == len(out.reduced.committed)
 
@@ -118,6 +114,6 @@ def test_outcome_invariants():
         g = random_graph(12, 0.25, seed=40 + seed)
         s = Subproblem.root(g)
         out = reduce_chain(s, ["neighbor", "dominance"])
-        assert out.reduced.graph.n == g.n - out.removed_vertices
+        assert residual_graph(out.reduced).n == g.n - out.removed_vertices
         assert out.cover_contribution == len(out.reduced.committed) - len(s.committed)
-        assert out.reduced.graph.n <= g.n
+        assert residual_graph(out.reduced).n <= g.n

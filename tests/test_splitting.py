@@ -1,14 +1,9 @@
 import pytest
 
-from vertexcover import (
-    SolveConfig,
-    Subproblem,
-    brute_force_oracle,
-    random_graph,
-    select_vertex,
-    split,
-)
+from vertexcover import SolveConfig, random_graph
+from vertexcover.splitting import Subproblem, select_vertex, split
 
+from reference import brute_force_oracle, residual_graph
 from conftest import complete_graph, empty_graph, path_graph, star_graph
 
 
@@ -59,9 +54,9 @@ def test_unknown_strategy_kind():
 def test_split_triangle():
     s = Subproblem.root(complete_graph(3))
     s_plus, s_minus = split(s, 0)
-    assert s_plus.graph.n == 2 and s_plus.graph.m == 1
+    assert residual_graph(s_plus).n == 2 and residual_graph(s_plus).m == 1
     assert s_plus.committed == {0}
-    assert s_minus.graph.n == 0
+    assert residual_graph(s_minus).n == 0
     assert s_minus.committed == {1, 2}
     assert s_plus.depth == s_minus.depth == 1
 
@@ -77,12 +72,12 @@ def test_drop_caches_recomputes_degrees():
 def test_split_star_center():
     star = star_graph(4)
     s_plus, s_minus = split(Subproblem.root(star), 0)
-    assert s_plus.graph.n == 4 and s_plus.graph.m == 0
+    assert residual_graph(s_plus).n == 4 and residual_graph(s_plus).m == 0
     assert s_plus.committed == {0}
-    assert s_minus.graph.n == 0
+    assert residual_graph(s_minus).n == 0
     assert s_minus.committed == {1, 2, 3, 4}
-    best = min(len(s_plus.committed) + brute_force_oracle(s_plus.graph),
-               len(s_minus.committed) + brute_force_oracle(s_minus.graph))
+    best = min(len(s_plus.committed) + brute_force_oracle(residual_graph(s_plus)),
+               len(s_minus.committed) + brute_force_oracle(residual_graph(s_minus)))
     assert best == brute_force_oracle(star) == 1
 
 
@@ -91,7 +86,7 @@ def test_split_isolated_vertex():
     s_plus, s_minus = split(Subproblem.root(g), 2)
     assert s_plus.committed == {2}
     assert s_minus.committed == set()
-    assert s_plus.graph.n == s_minus.graph.n == 4
+    assert residual_graph(s_plus).n == residual_graph(s_minus).n == 4
 
 
 def test_split_missing_vertex():
@@ -107,8 +102,8 @@ def test_split_exhaustive_identity():
         s = Subproblem.root(g)
         for v in range(g.n):
             s_plus, s_minus = split(s, v)
-            assert mvc == min(1 + brute_force_oracle(s_plus.graph),
-                              g.degrees[v] + brute_force_oracle(s_minus.graph))
+            assert mvc == min(1 + brute_force_oracle(residual_graph(s_plus)),
+                              g.degrees[v] + brute_force_oracle(residual_graph(s_minus)))
 
 
 def test_split_shrinks_both_children():
@@ -117,15 +112,15 @@ def test_split_shrinks_both_children():
         s = Subproblem.root(g)
         for v in range(g.n):
             s_plus, s_minus = split(s, v)
-            assert s_plus.graph.n == g.n - 1
-            assert s_minus.graph.n == g.n - 1 - g.degrees[v]
+            assert residual_graph(s_plus).n == g.n - 1
+            assert residual_graph(s_minus).n == g.n - 1 - g.degrees[v]
 
 
 def test_split_bookkeeping_monotone_and_disjoint():
     g = random_graph(12, 0.3, seed=5)
     node = Subproblem.root(g)
     seen = set()
-    while node.graph.n > 0:
+    while residual_graph(node).n > 0:
         v = select_vertex(node, "highest_degree", 3)
         s_plus, s_minus = split(node, v)
         for child in (s_plus, s_minus):

@@ -141,7 +141,7 @@ def _load_graph(args: argparse.Namespace):
     path = Path(args.input)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
     try:

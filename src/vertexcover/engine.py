@@ -43,7 +43,7 @@ import math
 import time
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import (
     LOWER_METHODS,
@@ -54,7 +54,7 @@ from .bounds import (
 from .graphs import Graph, bits
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
 from .reductions import REDUCTIONS, reduce_chain
-from .splitting import SELECTION_KINDS, Subproblem, select_vertex, split
+from .splitting import SELECTION_KINDS, Subproblem, node_key, select_vertex, split
 
 __all__ = [
     "SolveConfig",
@@ -261,19 +261,6 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
 
 # -- traversal ---------------------------------------------------------------
 
-class _Incumbent:
-    """Best complete cover seen so far."""
-
-    def __init__(self, cover: frozenset[int]):
-        self.cover = cover
-        self.size = len(cover)
-
-    def offer(self, cover: frozenset[int]):
-        if len(cover) < self.size:
-            self.cover = cover
-            self.size = len(cover)
-
-
 class _Stats:
     def __init__(self):
         self.generated = defaultdict(int)
@@ -302,42 +289,36 @@ def _qubo_leaf_cover(node: Subproblem, cfg: SolveConfig) -> set[int]:
     if cfg.leaf_solver == "qubo_exhaustive":
         assignment, _ = solve_exhaustive(q)
     else:
-        seed = cfg.seed * 1_000_003 + node.ordinal
+        seed = node_key(cfg.seed, node.path)
         assignment, _ = solve_anneal(q, cfg.anneal_reads, cfg.anneal_sweeps, seed)
     return decode_cover(node, assignment)
 
 
-def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, incumbent: _Incumbent, stats: _Stats):
-    """Solve one leaf; only the leaf solver's own call counts as leaf time.
-
-    Both solvers take the subproblem itself and return input-graph ids. The
-    exact one seeks only a cover that beats the incumbent, else ``None``.
-    """
+def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, best_size: int, stats: _Stats):
+    """Solve one leaf, returning its cover with the committed vertices, or ``None``
+    where the exact solver finds none smaller than ``best_size``; only the leaf
+    solver's own call counts as leaf time."""
     t0 = time.perf_counter()
     try:
         if cfg.leaf_solver == "exact":
-            cover = exact_leaf_solve(node, incumbent.size - len(node.committed))
+            cover = exact_leaf_solve(node, best_size - len(node.committed))
         else:
             cover = _qubo_leaf_cover(node, cfg)
     except Exception as exc:
         raise EngineError(
             f"leaf solver {cfg.leaf_solver!r} failed on subproblem "
-            f"(depth={node.depth}, ordinal={node.ordinal}, "
-            f"n={node.n}): {exc}"
+            f"(path={node.path:#b}, n={node.n}): {exc}"
         ) from exc
-    elapsed = time.perf_counter() - t0
-    if cover is not None:
-        incumbent.offer(node.committed | cover)
-    stats.merge_leaf(node.depth, node.n, elapsed)
+    stats.merge_leaf(node.depth, node.n, time.perf_counter() - t0)
+    return None if cover is None else node.committed | cover
 
 
 def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
     t_start = time.perf_counter()
-    incumbent = _Incumbent(ub_greedy_clique(g)[1])
+    best = ub_greedy_clique(g)[1]  # the best complete cover so far
     stats = _Stats()
     leaves: list[Subproblem] = []
     qubo_leaves = dispatch and cfg.leaf_solver != "exact"  # dispatched unbounded
-    ordinal = 0
     stats.generated[0] += 1
     stack = [Subproblem.root(g)]
     while stack:
@@ -347,14 +328,16 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
 
         leaf = node.n <= cfg.leaf_size
         if not (leaf and qubo_leaves):
-            need = incumbent.size - len(node.committed) + (0 if dispatch else 1)
+            need = len(best) - len(node.committed) + (0 if dispatch else 1)
             if combine_bounds(node, cfg.lower_bounds, need) >= need:
                 stats.pruned[node.depth] += 1
                 continue
 
         if leaf:
             if dispatch:
-                _dispatch_leaf(node, cfg, incumbent, stats)
+                cover = _dispatch_leaf(node, cfg, len(best), stats)
+                if cover is not None:
+                    best = min(best, cover, key=len)
             else:
                 stats.merge_leaf(node.depth, node.n, 0.0)
                 node.drop_caches()
@@ -362,17 +345,15 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
             continue
 
         if cfg.clique_upper_bound:
-            incumbent.offer(node.committed | ub_greedy_clique(node)[1])
+            best = min(best, node.committed | ub_greedy_clique(node)[1], key=len)
 
         v = select_vertex(node, cfg.strategy, cfg.seed)
         s_plus, s_minus = split(node, v)
         stats.generated[s_plus.depth] += 2
-        stack.append(replace(s_minus, ordinal=ordinal + 2))
-        stack.append(replace(s_plus, ordinal=ordinal + 1))
-        ordinal += 2
+        stack += (s_minus, s_plus)
 
     preprocessing = time.perf_counter() - t_start - stats.leaf_seconds
-    return incumbent, stats, preprocessing, leaves
+    return best, stats, preprocessing, leaves
 
 
 def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveResult:
@@ -383,13 +364,13 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveResult:
     own success probability.
     """
     cfg = cfg or SolveConfig()
-    incumbent, stats, preprocessing, _ = _run(g, cfg, dispatch=True)
-    if not is_vertex_cover(g, incumbent.cover):
+    cover, stats, preprocessing, _ = _run(g, cfg, dispatch=True)
+    if not is_vertex_cover(g, cover):
         raise EngineError("internal error: final cover failed validation")
     solution_seconds = preprocessing + cfg.qpu_seconds_per_leaf * stats.leaf_count
     return SolveResult(
-        cover=incumbent.cover,
-        size=incumbent.size,
+        cover=cover,
+        size=len(cover),
         leaf_count=stats.leaf_count,
         subproblems_generated=sum(stats.generated.values()),
         subproblems_pruned=sum(stats.pruned.values()),
@@ -412,7 +393,7 @@ def decompose_only(g: Graph, cfg: SolveConfig | None = None) -> DecomposeResult:
     incumbent, stats, preprocessing, leaves = _run(g, cfg, dispatch=False)
     return DecomposeResult(
         leaves=tuple(leaves),
-        incumbent_cover=incumbent.cover,
+        incumbent_cover=incumbent,
         subproblems_generated=sum(stats.generated.values()),
         subproblems_pruned=sum(stats.pruned.values()),
         preprocessing_seconds=preprocessing,

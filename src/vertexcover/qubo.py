@@ -233,9 +233,11 @@ def decode_cover(g, x: Sequence[int]) -> set[int]:
         raise ValueError(f"assignment length {len(x)} != vertex count {g.n}")
     masks, alive, ids, degrees = g.adjacency_masks, g.alive, g.vertices(), g.degrees
     cover = sum(1 << v for i, v in enumerate(ids) if x[i])
-    for i, j in position_edges(g):
-        u, v = ids[i], ids[j]
-        if not (cover >> u & 1 or cover >> v & 1):
+    # edges u < v in the QUBO's key order; only u joining covers another listed v
+    for u in ids:
+        for v in bits((masks[u] & alive & ~cover) >> u + 1 << u + 1):
+            if cover >> u & 1:
+                break
             cover |= 1 << (u if degrees[u] >= degrees[v] else v)
     for v in reversed(bits(cover)):
         if not masks[v] & alive & ~cover:

@@ -34,7 +34,7 @@ class ReductionOutcome:
 def _outcome(s: Subproblem, alive: int, committed: set[int], degrees=None) -> ReductionOutcome:
     reduced = s
     if alive != s.alive:
-        reduced = Subproblem(s.base, alive, s.committed | committed, s.depth, s.ordinal)
+        reduced = Subproblem(s.base, alive, s.committed | committed, s.path)
     if degrees is not None:
         reduced.keep_degrees(degrees)
     return ReductionOutcome(reduced, s.n - reduced.n, len(committed))

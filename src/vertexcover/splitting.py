@@ -18,6 +18,7 @@ from .graphs import Graph, bits
 __all__ = [
     "Subproblem",
     "SELECTION_KINDS",
+    "node_key",
     "select_vertex",
     "split",
 ]
@@ -37,13 +38,16 @@ class Subproblem:
     ``build_mvc_qubo`` and ``decode_cover`` read a subproblem's masks as they
     read a graph's, numbering its vertices 0..n-1 so that i is
     ``vertices()[i]``.
+
+    ``path`` is the node's identity: the root is 1, and ``split`` gives the
+    children of p the paths 2p (v in the cover) and 2p + 1 (v out). The bits
+    below the leading 1 spell the branches from the root; ``depth`` counts them.
     """
 
     base: Graph
     alive: int
     committed: frozenset[int] = frozenset()
-    depth: int = 0
-    ordinal: int = 0
+    path: int = 1
 
     @classmethod
     def root(cls, g: Graph) -> "Subproblem":
@@ -52,6 +56,10 @@ class Subproblem:
     @property
     def adjacency_masks(self) -> tuple[int, ...]:
         return self.base.adjacency_masks
+
+    @property
+    def depth(self) -> int:
+        return self.path.bit_length() - 1
 
     @property
     def n(self) -> int:
@@ -76,12 +84,19 @@ class Subproblem:
         self.__dict__.pop("degrees", None)
 
 
+def node_key(seed: int, path: int) -> int:
+    """Cantor's pairing of (seed, path), distinct for distinct pairs: the seed of a
+    node's tie draw in ``select_vertex`` and of its annealer run at a QUBO leaf."""
+    total = seed + path
+    return total * (total + 1) // 2 + path
+
+
 def select_vertex(s: Subproblem, kind: str, seed: int) -> int:
     """Pick the split vertex of the residual graph by the rule ``kind``.
 
     Tie candidates are listed in ascending id order; the draw among them is
-    seeded by (seed, depth, ordinal), so it does not depend on the order in
-    which nodes are visited.
+    seeded by ``node_key(seed, s.path)``, which the splits above the node fix
+    alone, so it does not depend on the order in which nodes are visited.
     """
     degrees = s.degrees
     if not degrees:
@@ -103,24 +118,20 @@ def select_vertex(s: Subproblem, kind: str, seed: int) -> int:
         candidates = [v for v, d in degrees.items() if d == target]
     if len(candidates) == 1:
         return candidates[0]
-    key = (seed * 1_000_003 + s.depth) * 1_000_003 + s.ordinal
-    return random.Random(key).choice(candidates)
+    return random.Random(node_key(seed, s.path)).choice(candidates)
 
 
 def split(s: Subproblem, v: int) -> tuple[Subproblem, Subproblem]:
-    """Split at v, returning the (v in cover, v out of cover) children."""
+    """Split at v, returning the (v in cover, v out of cover) children: paths 2p, 2p + 1."""
     if v < 0 or not (s.alive >> v) & 1:
         raise ValueError(f"vertex {v} not in the residual graph")
     vbit = 1 << v
     neighbors = s.base.adjacency_masks[v] & s.alive
-    s_plus = Subproblem(
-        s.base, s.alive & ~vbit, s.committed | {v}, s.depth + 1, s.ordinal
-    )
+    s_plus = Subproblem(s.base, s.alive & ~vbit, s.committed | {v}, 2 * s.path)
     s_minus = Subproblem(
         s.base,
         s.alive & ~(neighbors | vbit),
         s.committed.union(bits(neighbors)),
-        s.depth + 1,
-        s.ordinal,
+        2 * s.path + 1,
     )
     return s_plus, s_minus

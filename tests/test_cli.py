@@ -85,6 +85,18 @@ def test_solve_missing_file_exit_2(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "decompose", "export-qubo"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "g.dimacs"
+    path.write_bytes(b"\xff\xfe")
+    flags = ["--output-dir", str(tmp_path / "out")] if command == "decompose" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, str(path), *flags])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "decompose", "bench-random"])
 @pytest.mark.parametrize("flags", [
     ["--leaf-solver", "qubo-anneal", "--anneal-reads", "0"],

@@ -19,6 +19,8 @@ from vertexcover import (
 from vertexcover import engine
 from vertexcover.bounds import LOWER_METHODS
 from vertexcover.engine import exact_leaf_solve
+from vertexcover.qubo import build_mvc_qubo, solve_anneal
+from vertexcover.splitting import node_key
 
 from reference import brute_force_oracle, residual_graph
 from conftest import (
@@ -343,7 +345,7 @@ def test_exact_leaf_solve_depth_not_bounded_by_recursion_limit():
 
 def test_random_strategy_draws_from_config_seed(monkeypatch):
     """With strategy="random" every split vertex is the draw keyed by
-    (SolveConfig.seed, depth, ordinal) from the node's vertices, so that seed
+    node_key(SolveConfig.seed, path) from the node's vertices, so that seed
     alone decides the tree; different seeds give different trees."""
     g = random_graph(40, 0.2, seed=17)
     original = engine.select_vertex
@@ -361,7 +363,29 @@ def test_random_strategy_draws_from_config_seed(monkeypatch):
         solve(g, SolveConfig(leaf_size=8, strategy="random", seed=seed))
         assert len(picks) > 10
         for node, v in picks:
-            key = (seed * 1_000_003 + node.depth) * 1_000_003 + node.ordinal
-            assert v == random.Random(key).choice(node.vertices())
+            assert v == random.Random(node_key(seed, node.path)).choice(node.vertices())
         trees.add(tuple(v for _, v in picks))
     assert len(trees) == 4
+
+
+def test_anneal_seed_is_the_leaf_node_key(monkeypatch):
+    """Each annealer run is seeded by node_key(SolveConfig.seed, path) of its
+    leaf, so a leaf's run depends on the seed and its place in the tree alone."""
+    g = random_graph_avg_degree(30, 4, seed=2)
+    built, seeds = [], []
+
+    def recording_build(node, *args):
+        built.append(node)
+        return build_mvc_qubo(node, *args)
+
+    def recording_anneal(q, reads, sweeps, seed):
+        seeds.append(seed)
+        return solve_anneal(q, reads, sweeps, seed)
+
+    monkeypatch.setattr(engine, "build_mvc_qubo", recording_build)
+    monkeypatch.setattr(engine, "solve_anneal", recording_anneal)
+    cfg = SolveConfig(leaf_size=10, leaf_solver="qubo_anneal", seed=5, anneal_reads=4)
+    result = solve(g, cfg)
+    assert result.leaf_count == len(built) == len(seeds) > 2
+    assert seeds == [node_key(5, node.path) for node in built]
+    assert len({node.path for node in built}) == len(built)

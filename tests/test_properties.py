@@ -1,6 +1,7 @@
 """Property tests: random small graphs, QUBOs and solver settings against the oracles."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,7 @@ from vertexcover.bounds import (
     ub_greedy_clique,
 )
 from vertexcover.engine import exact_leaf_solve
-from vertexcover.graphs import bits
+from vertexcover.graphs import bits, position_edges
 from vertexcover.qubo import (
     Qubo,
     build_mvc_qubo,
@@ -84,6 +85,20 @@ def test_decompose_only_offline_completion_matches_oracle(g, cfg):
         sizes.append(len(leaf.committed) + brute_force_oracle(residual_graph(leaf)))
     assert is_vertex_cover(g, dec.incumbent_cover)
     assert min(sizes) == brute_force_oracle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), configs)
+def test_decompose_only_leaves_nest_as_the_bound_set_grows(g, cfg):
+    """A node is its split path, whatever else was visited: with the same seed,
+    a larger bound set only prunes more, so its leaves, as (path, alive,
+    committed), are a subset of a smaller set's. The incumbent stays the root's,
+    as no split node offers a cover."""
+    runs = []
+    for bounds in (frozenset(), frozenset({"coloring"}), LOWER_METHODS):
+        dec = decompose_only(g, replace(cfg, lower_bounds=bounds, clique_upper_bound=False))
+        runs.append({(leaf.path, leaf.alive, leaf.committed) for leaf in dec.leaves})
+    assert runs[0] >= runs[1] >= runs[2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,6 +367,33 @@ def test_qubo_of_subproblem_is_its_graphs(g, keep, assignment):
     assert list(q.quadratic) == list(reference.quadratic) == list(graph.edges())
     x = [assignment >> i & 1 for i in range(sub.n)]
     assert decode_cover(sub, x) == {ids[i] for i in decode_cover(graph, x)}
+
+
+def position_edges_decode_cover(g, x):
+    """``decode_cover`` as it read the edges from ``position_edges``: the reference."""
+    masks, alive, ids, degrees = g.adjacency_masks, g.alive, g.vertices(), g.degrees
+    cover = sum(1 << v for i, v in enumerate(ids) if x[i])
+    for i, j in position_edges(g):
+        u, v = ids[i], ids[j]
+        if not (cover >> u & 1 or cover >> v & 1):
+            cover |= 1 << (u if degrees[u] >= degrees[v] else v)
+    for v in reversed(bits(cover)):
+        if not masks[v] & alive & ~cover:
+            cover ^= 1 << v
+    return set(bits(cover))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1), st.integers(0, 2**14 - 1))
+@example(build_graph(3, [(0, 1), (1, 2), (0, 2)]), 0b111, 0)
+@example(build_graph(4, [(0, 1), (0, 2), (0, 3), (2, 3)]), 0b1101, 0b100)
+def test_decode_cover_matches_the_position_edges_decoder(g, keep, assignment):
+    """Walking each vertex's higher alive neighbours repairs the same edges, in
+    the same order, as the listing by positions; on a graph and a subproblem."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    for instance in (g, sub):
+        x = [assignment >> i & 1 for i in range(instance.n)]
+        assert decode_cover(instance, x) == position_edges_decode_cover(instance, x)
 
 
 @st.composite

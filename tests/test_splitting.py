@@ -61,6 +61,18 @@ def test_split_triangle():
     assert s_plus.depth == s_minus.depth == 1
 
 
+def test_split_paths_spell_the_branches():
+    """The root is path 1; the children of p are 2p (in) and 2p + 1 (out), and
+    the depth is the number of bits below the leading one."""
+    root = Subproblem.root(path_graph(6))
+    assert (root.path, root.depth) == (1, 0)
+    s_plus, s_minus = split(root, 2)
+    assert (s_plus.path, s_minus.path) == (0b10, 0b11)
+    grand_plus, grand_minus = split(s_minus, 4)
+    assert (grand_plus.path, grand_minus.path) == (0b110, 0b111)
+    assert grand_plus.depth == grand_minus.depth == 2
+
+
 def test_drop_caches_recomputes_degrees():
     s = Subproblem.root(path_graph(4))
     degrees = s.degrees

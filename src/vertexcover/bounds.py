@@ -11,12 +11,13 @@ and ``n``, and any vertex ids it returns are those of what it was given. A
 subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
 itself, so no complement graph is built, and no bound builds a Graph.
 
-The one upper bound, ``greedy_clique``, comes with a witness cover that
-attains it; with ``SolveConfig.clique_upper_bound`` set, the solver offers
-that cover to its incumbent.
+Both upper bounds come with a witness cover that attains them. The solver
+offers each node's ``greedy_clique`` cover with ``clique_upper_bound`` set.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "lb_spectral",
     "lb_coloring",
     "ub_greedy_clique",
+    "ub_local_search",
     "combine_bounds",
 ]
 
@@ -161,6 +163,53 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
         if not clique & masks[v]:
             clique |= 1 << v
     cover = frozenset(bits(g.alive & ~clique))
+    return len(cover), cover
+
+
+def _lowest_swap(masks, indep: int, tight: int) -> int:
+    """Bits of the (1,2)-swap at the lowest x in ``indep`` with two non-adjacent
+    ``tight`` neighbours, the lowest such pair u < w; 0 when none applies."""
+    for x in bits(indep):
+        candidates = masks[x] & tight
+        if candidates & (candidates - 1):  # at least two
+            for u in bits(candidates):
+                partners = candidates & ~masks[u] & ~(1 << u)
+                if partners:
+                    return 1 << x | 1 << u | (partners & -partners)
+    return 0
+
+
+def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
+    """Cover from an iterated (1,2)-swap search (Andrade, Resende & Werneck 2012).
+
+    From the set ``ub_greedy_clique``'s cover leaves, a vertex with no
+    independent neighbour joins, lowest first, else ``_lowest_swap`` drops x
+    for u and w whose only independent neighbour is x. Then 2n rounds each
+    force in a vertex drawn by ``random.Random(seed)`` and search again; a
+    result no smaller is kept, and only a larger one replaces the best.
+    """
+    masks, alive = g.adjacency_masks, g.alive
+
+    def local_optimum(indep: int) -> int:
+        while True:
+            one = two = 0  # vertices with at least one, two independent neighbours
+            for x in bits(indep):
+                two |= one & masks[x]
+                one |= masks[x]
+            free = alive & ~(indep | one)
+            move = free & -free or _lowest_swap(masks, indep, alive & one & ~two)
+            if not move:
+                return indep
+            indep ^= move
+
+    best = current = local_optimum(alive & ~sum(1 << v for v in ub_greedy_clique(g)[1]))
+    rng = random.Random(seed)
+    for _ in range(2 * g.n if current != alive else 0):
+        v = rng.choice(bits(alive & ~current))
+        trial = local_optimum((current & ~masks[v]) | 1 << v)
+        current = max(trial, current, key=int.bit_count)  # the trial on a tie
+        best = max(best, current, key=int.bit_count)
+    cover = frozenset(bits(alive & ~best))
     return len(cover), cover
 
 

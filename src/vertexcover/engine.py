@@ -12,18 +12,18 @@ QUBO leaf through ``build_mvc_qubo`` and ``decode_cover``, whose variable i
 is the leaf's vertex ``vertices()[i]``. No node builds a standalone
 ``Graph``, and every leaf cover comes back in input-graph ids.
 
-Each node is reduced, then bounded, and only then made a leaf or split.
-It is pruned when its committed vertices plus the best of the
-``lower_bounds`` cannot beat the best complete cover found so far, so a
-leaf the bound rules out is never dispatched or kept: a graph whose
-greedy-clique cover (the first incumbent) meets its root bound takes no
-leaf at all. QUBO leaves are the one exception: they are still dispatched
-before any bound, as they were before bounding came first, until the
-annealer benchmark's inputs are re-chosen to keep several annealer leaves
-when every leaf is bounded. The bound is asked only whether it reaches
-the cutoff, which lets the colouring bound stop early. With
-``clique_upper_bound`` set, each node that survives the bound and splits
-offers its greedy-clique cover as a new best cover.
+Each node is reduced, then bounded, and only then made a leaf or split. It is
+pruned when its committed vertices plus the best of the ``lower_bounds``
+cannot beat the best complete cover found so far, so a leaf the bound rules
+out is never dispatched or kept: a graph whose first incumbent meets its root
+bound takes no leaf at all. ``solve`` starts from the greedy-clique cover;
+``decompose_only``, which solves no leaf, from ``ub_local_search``'s. QUBO
+leaves are the one exception: they are still dispatched before any bound, as
+they were before bounding came first, until the annealer benchmark's inputs
+are re-chosen to keep several annealer leaves when every leaf is bounded. The
+bound is asked only whether it reaches the cutoff, which lets the colouring
+bound stop early. With ``clique_upper_bound`` set, each node that survives
+the bound and splits offers its greedy-clique cover as a new best cover.
 
 An exact leaf is searched only for covers that would beat that incumbent:
 its cutoff is the incumbent size less the leaf's committed vertices, and
@@ -50,6 +50,7 @@ from .bounds import (
     combine_bounds,
     greedy_clique_partition_bound,
     ub_greedy_clique,
+    ub_local_search,
 )
 from .graphs import Graph, bits
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
@@ -315,7 +316,7 @@ def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, best_size: int, stats: _S
 
 def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
     t_start = time.perf_counter()
-    best = ub_greedy_clique(g)[1]  # the best complete cover so far
+    best = (ub_greedy_clique(g) if dispatch else ub_local_search(g, node_key(cfg.seed, 1)))[1]
     stats = _Stats()
     leaves: list[Subproblem] = []
     qubo_leaves = dispatch and cfg.leaf_solver != "exact"  # dispatched unbounded
@@ -328,7 +329,7 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
 
         leaf = node.n <= cfg.leaf_size
         if not (leaf and qubo_leaves):
-            need = len(best) - len(node.committed) + (0 if dispatch else 1)
+            need = len(best) - len(node.committed)
             if combine_bounds(node, cfg.lower_bounds, need) >= need:
                 stats.pruned[node.depth] += 1
                 continue
@@ -384,10 +385,10 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveResult:
 def decompose_only(g: Graph, cfg: SolveConfig | None = None) -> DecomposeResult:
     """Decompose to leaves without solving them.
 
-    Prunes only on a strict bound excess, so at least one optimal completion
-    always survives among the returned leaves: the best of (committed count
-    plus leaf optimum) over all leaves, together with the incumbent cover,
-    recovers the exact optimum.
+    A node is pruned once its bound reaches the incumbent, so an optimal
+    completion survives among the leaves or the incumbent: the best of the
+    incumbent and (committed count plus leaf optimum) over the leaves is the
+    optimum. There is no leaf when the root bound proves the incumbent optimal.
     """
     cfg = cfg or SolveConfig()
     incumbent, stats, preprocessing, leaves = _run(g, cfg, dispatch=False)

@@ -12,6 +12,7 @@ from vertexcover.bounds import (
     lb_matching_half,
     lb_spectral,
     ub_greedy_clique,
+    ub_local_search,
 )
 from vertexcover.splitting import Subproblem
 
@@ -45,6 +46,15 @@ def test_greedy_clique_examples():
     assert size == 5 and len(witness) == 5
     size, witness = ub_greedy_clique(path_graph(3))
     assert size == 1 and witness == frozenset({1})
+
+
+def test_local_search_cover_is_a_function_of_the_seed():
+    # on this graph the perturbation draws lead to different local optima
+    g = random_graph(80, 0.1, seed=2)
+    covers = [ub_local_search(g, seed) for seed in range(6)]
+    assert [ub_local_search(g, seed) for seed in range(6)] == covers
+    assert len({cover for _, cover in covers}) >= 3
+    assert all(is_vertex_cover(g, cover) for _, cover in covers)
 
 
 def test_combine_bounds_c5():

@@ -15,6 +15,7 @@ from conftest import complete_graph
 
 
 K3_DIMACS = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+C5_DIMACS = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
 
 
 def run_cli(capsys, argv):
@@ -252,8 +253,9 @@ def test_decompose_manifest_closure(tmp_path, capsys):
 
 
 def test_decompose_small_input_is_single_identical_leaf(tmp_path, capsys):
-    path = tmp_path / "k3.dimacs"
-    path.write_text(K3_DIMACS)
+    # C5's colouring bound, 2, is below its optimum, 3, so the root is kept whole
+    path = tmp_path / "c5.dimacs"
+    path.write_text(C5_DIMACS)
     out_dir = tmp_path / "leaves"
     code, _, _ = run_cli(capsys, [
         "decompose", str(path), "--output-dir", str(out_dir),
@@ -263,7 +265,25 @@ def test_decompose_small_input_is_single_identical_leaf(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert len(manifest["leaves"]) == 1
     leaf = parse_graph((out_dir / manifest["leaves"][0]["file"]).read_text(), "dimacs")
-    assert leaf.n == 3 and leaf.m == 3
+    assert leaf.n == 5 and leaf.m == 5
+
+
+def test_decompose_proved_incumbent_writes_no_leaf(tmp_path, capsys):
+    # K3's incumbent, 2, meets its colouring bound: the hand-off is the incumbent
+    path = tmp_path / "k3.dimacs"
+    path.write_text(K3_DIMACS)
+    out_dir = tmp_path / "leaves"
+    code, out, _ = run_cli(capsys, [
+        "decompose", str(path), "--output-dir", str(out_dir),
+        "--reduction", "none",
+    ])
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["leaves"] == [] and manifest["leaf_count"] == 0
+    assert manifest["incumbent_size"] == brute_force_oracle(complete_graph(3)) == 2
+    assert is_vertex_cover(complete_graph(3), manifest["incumbent_cover"])
+    assert json.loads(out)["leaf_count"] == 0
+    assert not list(out_dir.glob("leaf_*.dimacs"))
 
 
 def test_decompose_leaf_size_preset_name(tmp_path, capsys):
@@ -318,13 +338,13 @@ def test_decompose_deterministic_modulo_timing(tmp_path, capsys):
     from vertexcover import random_graph
 
     path = tmp_path / "g.dimacs"
-    path.write_text(serialize_graph(random_graph(30, 0.3, seed=4), "dimacs"))
+    path.write_text(serialize_graph(random_graph(50, 0.3, seed=3), "dimacs"))
     runs = []
     for name in ("first", "second"):
         out_dir = tmp_path / name
         code, _, _ = run_cli(capsys, [
             "decompose", str(path), "--output-dir", str(out_dir),
-            "--leaf-size", "8", "--seed", "5",
+            "--leaf-size", "25", "--seed", "5",
         ])
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())

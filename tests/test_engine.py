@@ -219,7 +219,7 @@ def test_decompose_only_leaves_drop_their_caches(monkeypatch):
     # every leaf is bounded, which fills Subproblem.degrees; a kept leaf drops it
     dropped = []
     monkeypatch.setattr(engine.Subproblem, "drop_caches", lambda leaf: dropped.append(leaf))
-    dec = decompose_only(random_graph(40, 0.2, seed=3), SolveConfig(leaf_size=12, seed=3))
+    dec = decompose_only(random_graph(50, 0.3, seed=3), SolveConfig(leaf_size=25, seed=3))
     assert dec.leaf_count > 1
     assert list(map(id, dropped)) == list(map(id, dec.leaves))
 
@@ -228,8 +228,8 @@ def test_decompose_only_leaves_hold_no_degrees():
     # the reduction seeds Subproblem.degrees on every node it shrinks; kept
     # leaves must still hold none, or a long leaf list keeps a dict per leaf
     for chain in ((), ("neighbor",), ("dominance",), ("neighbor", "dominance")):
-        cfg = SolveConfig(leaf_size=12, reductions=chain, seed=3)
-        dec = decompose_only(random_graph(40, 0.2, seed=3), cfg)
+        cfg = SolveConfig(leaf_size=25, reductions=chain, seed=3)
+        dec = decompose_only(random_graph(50, 0.3, seed=3), cfg)
         assert dec.leaf_count > 1
         assert all("degrees" not in leaf.__dict__ for leaf in dec.leaves)
 
@@ -245,15 +245,29 @@ def test_decompose_only_triangle_recovers_optimum():
 
 
 def test_decompose_only_leaf_minimum_equals_oracle():
+    # a node that can at best tie the incumbent is pruned, so the optimum is
+    # the best of the incumbent and the leaves' completions
     for seed in range(10):
         g = random_graph(15, 0.35, seed=400 + seed)
         oracle = brute_force_oracle(g)
         dec = decompose_only(g, SolveConfig(leaf_size=5, seed=seed))
-        best = min(
+        assert is_vertex_cover(g, dec.incumbent_cover)
+        best = min([dec.incumbent_size] + [
             len(leaf.committed) + brute_force_oracle(residual_graph(leaf))
             for leaf in dec.leaves
-        )
+        ])
         assert best == oracle
+
+
+def test_decompose_only_takes_no_leaf_when_the_incumbent_meets_the_root_bound():
+    # the 4-cycle 0-2-3-4 with a pendant 1 on 3: the colouring bound and the
+    # optimum are both 2; the greedy-clique cover {2, 3, 4} misses it, and one
+    # (1,2)-swap, 0 out and 2 and 4 in, finds {0, 3}
+    g = build_graph(5, [(0, 2), (0, 4), (1, 3), (2, 3), (3, 4)])
+    dec = decompose_only(g, SolveConfig(leaf_size=2, reductions=()))
+    assert dec.incumbent_cover == {0, 3}
+    assert dec.leaf_count == 0
+    assert dec.subproblems_generated == dec.subproblems_pruned == 1
 
 
 def test_config_validation():

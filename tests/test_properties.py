@@ -22,6 +22,7 @@ from vertexcover.bounds import (
     greedy_clique_partition_bound,
     lb_coloring,
     ub_greedy_clique,
+    ub_local_search,
 )
 from vertexcover.engine import exact_leaf_solve
 from vertexcover.graphs import bits, position_edges
@@ -99,6 +100,22 @@ def test_decompose_only_leaves_nest_as_the_bound_set_grows(g, cfg):
         dec = decompose_only(g, replace(cfg, lower_bounds=bounds, clique_upper_bound=False))
         runs.append({(leaf.path, leaf.alive, leaf.committed) for leaf in dec.leaves})
     assert runs[0] >= runs[1] >= runs[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1), st.integers(0, 1000))
+def test_ub_local_search_is_a_seeded_cover_between_optimum_and_greedy(g, keep, seed):
+    """The root search returns a cover of what it was given, no larger than the
+    greedy-clique cover it starts from and no smaller than the optimum, and the
+    same cover again for the same seed; on a graph and on a subproblem."""
+    for instance in (g, Subproblem(base=g, alive=g.alive & keep)):
+        size, cover = ub_local_search(instance, seed)
+        ids = instance.vertices()
+        assert size == len(cover) and cover <= set(ids)
+        residual = residual_graph(Subproblem(base=g, alive=instance.alive))
+        assert is_vertex_cover(residual, {ids.index(v) for v in cover})
+        assert brute_force_oracle(residual) <= size <= ub_greedy_clique(instance)[0]
+        assert ub_local_search(instance, seed) == (size, cover)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ from vertexcover.bounds import (
     LOWER_METHODS,
     combine_bounds,
     lb_coloring,
-    lb_matching_half,
+    lb_lp,
     lb_spectral,
     ub_greedy_clique,
 )
@@ -19,13 +19,13 @@ from vertexcover.reductions import reduce_chain
 from vertexcover.splitting import Subproblem
 
 print("=== bounds on random instances ===")
-header = f"{'n':>3} {'opt':>4} {'match':>6} {'spect':>6} {'color':>6} {'clique ub':>9}"
+header = f"{'n':>3} {'opt':>4} {'lp':>6} {'spect':>6} {'color':>6} {'clique ub':>9}"
 print(header)
 for seed in range(6):
     g = random_graph(16, 0.2 + 0.12 * seed, seed=seed)
     opt = len(exact_leaf_solve(g))
     ub, witness = ub_greedy_clique(g)
-    print(f"{g.n:>3} {opt:>4} {lb_matching_half(g):>6} {lb_spectral(g):>6} "
+    print(f"{g.n:>3} {opt:>4} {lb_lp(g):>6} {lb_spectral(g):>6} "
           f"{lb_coloring(g):>6} {ub:>9}")
 
 g = random_graph(16, 0.5, seed=11)

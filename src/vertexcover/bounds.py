@@ -1,9 +1,10 @@
 """Lower and upper bounds on the minimum vertex cover size of a graph.
 
-Every lower bound here is a valid upper bound on the independence number
-turned around (cover size = n - independent set size), so all bounds are
-safe on every input. Bounds are pure functions of the graph and fully
-deterministic.
+Every lower bound is at most the optimum on every input, and every bound is
+a deterministic function of the graph. ``combine_bounds`` runs the named
+lower bounds cheapest first (colouring, LP, spectral) and stops at the first
+that reaches its ``limit``. The default set is the colouring bound, the
+stronger on dense residual graphs, and the LP bound, on sparse ones.
 
 Every bound takes a Graph or a Subproblem alike: it reads only
 ``adjacency_masks``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
@@ -27,7 +28,7 @@ from .splitting import Subproblem
 __all__ = [
     "LOWER_METHODS",
     "greedy_clique_partition_bound",
-    "lb_matching_half",
+    "lb_lp",
     "lb_spectral",
     "lb_coloring",
     "ub_greedy_clique",
@@ -35,7 +36,7 @@ __all__ = [
     "combine_bounds",
 ]
 
-LOWER_METHODS = ("matching_half", "spectral", "coloring")
+LOWER_METHODS = ("coloring", "lp", "spectral")  # cheapest first
 
 
 def greedy_clique_partition_bound(masks, alive: int) -> int:
@@ -58,22 +59,59 @@ def greedy_clique_partition_bound(masks, alive: int) -> int:
     return bound
 
 
-def lb_matching_half(g) -> int:
-    """Size of a greedy maximal matching; every cover hits each matched edge.
+def lb_lp(g, limit: int | None = None) -> int:
+    """The cover LP's optimum, rounded up: half a maximum matching of the
+    bipartite double cover (Nemhauser & Trotter 1975), where the left copy
+    of each end of an edge is joined to the right copy of the other.
 
-    Each unmatched vertex, in ascending id order, takes its lowest unmatched
-    neighbour.
+    Left copies, in ascending (degree, id) order, first take their lowest
+    free right neighbour; each one left over is then tried once for an
+    augmenting path (Kuhn), searched on an explicit stack. With a ``limit``,
+    nothing is searched when ``2 * limit - 1`` exceeds n, and the search
+    stops once the matching plus the left copies still to try falls below
+    it: the result reaches ``limit`` exactly when the full bound does, and
+    then equals it.
     """
+    need = 0 if limit is None else 2 * limit - 1  # matching size that reaches limit
+    if need > g.n:
+        return 0
     masks, alive = g.adjacency_masks, g.alive
-    matched = 0
-    while alive:
-        low = alive & -alive
-        alive ^= low
-        nbrs = masks[low.bit_length() - 1] & alive
-        if nbrs:
-            alive ^= nbrs & -nbrs
-            matched += 1
-    return matched
+    left_of: dict[int, int] = {}  # matched right copy -> its left copy
+    right_of: dict[int, int] = {}
+    free = alive  # right copies without a mate
+    untried = []
+    for u in sorted(bits(alive), key=g.degrees.__getitem__):
+        takes = masks[u] & free
+        if takes:
+            r = (takes & -takes).bit_length() - 1
+            free ^= 1 << r
+            left_of[r], right_of[u] = u, r
+        elif masks[u] & alive:
+            untried.append(u)
+    for tried, root in enumerate(untried):
+        if len(right_of) + len(untried) - tried < need:
+            break
+        reach: dict[int, int] = {}  # right copy -> the left copy it was reached from
+        seen, stack = 0, [root]  # right copies reached, left copies to search
+        while stack:
+            x = stack.pop()
+            nbrs = masks[x] & alive & ~seen
+            end = nbrs & free
+            if end:
+                r = (end & -end).bit_length() - 1
+                free ^= 1 << r
+                while True:  # flip the alternating path back to the root
+                    before = right_of.get(x)
+                    left_of[r], right_of[x] = x, r
+                    if before is None:
+                        break
+                    r, x = before, reach[before]
+                break
+            seen |= nbrs
+            for r in bits(nbrs):
+                reach[r] = x
+                stack.append(left_of[r])
+    return (len(right_of) + 1) // 2
 
 
 def lb_spectral(g) -> int:
@@ -216,14 +254,13 @@ def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
 def combine_bounds(g: Graph | Subproblem, names, limit: int | None = None) -> int:
     """Best of the named lower bounds (``LOWER_METHODS``), or 0 when none is named.
 
-    ``limit`` is handed to ``lb_coloring``: the result reaches ``limit``
-    exactly when the full best does, and then equals it.
+    With a ``limit`` they run cheapest first, and the first to reach it ends
+    the call: the result reaches ``limit`` exactly when the full best does,
+    and then lies between the two; below it, it is at most the full best.
     """
-    best = 0
-    if "coloring" in names:
-        best = lb_coloring(g, limit)
-    if "matching_half" in names:
-        best = max(best, lb_matching_half(g))
-    if "spectral" in names:
+    best = lb_coloring(g, limit) if "coloring" in names else 0
+    if "lp" in names and (limit is None or best < limit):
+        best = max(best, lb_lp(g, limit))
+    if "spectral" in names and (limit is None or best < limit):
         best = max(best, lb_spectral(g))
     return best

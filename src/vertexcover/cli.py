@@ -39,9 +39,10 @@ _SELECT_KINDS = {
 }
 _LOWER_CHOICES = {
     "none": frozenset(),
-    "matching": frozenset({"matching_half"}),
-    "spectral": frozenset({"spectral"}),
     "coloring": frozenset({"coloring"}),
+    "lp": frozenset({"lp"}),
+    "spectral": frozenset({"spectral"}),
+    "coloring+lp": frozenset({"coloring", "lp"}),
     "all": frozenset(LOWER_METHODS),
 }
 _UPPER_CHOICES = {"none": False, "clique": True}
@@ -75,7 +76,7 @@ def _leaf_size(value: str) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--select", choices=sorted(_SELECT_KINDS), default="max",
                    help="split vertex selection strategy")
-    p.add_argument("--lower-bound", choices=sorted(_LOWER_CHOICES), default="coloring")
+    p.add_argument("--lower-bound", choices=sorted(_LOWER_CHOICES), default="coloring+lp")
     p.add_argument("--upper-bound", choices=sorted(_UPPER_CHOICES), default="none")
     p.add_argument("--reduction", choices=sorted(_REDUCTION_CHOICES), default="neighbor")
     p.add_argument("--leaf-solver",

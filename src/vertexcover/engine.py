@@ -21,9 +21,9 @@ bound takes no leaf at all. ``solve`` starts from the greedy-clique cover;
 leaves are the one exception: they are still dispatched before any bound, as
 they were before bounding came first, until the annealer benchmark's inputs
 are re-chosen to keep several annealer leaves when every leaf is bounded. The
-bound is asked only whether it reaches the cutoff, which lets the colouring
-bound stop early. With ``clique_upper_bound`` set, each node that survives
-the bound and splits offers its greedy-clique cover as a new best cover.
+bound, by default the colouring and LP bounds, is asked only whether it
+reaches the cutoff, so each stops once it cannot. With ``clique_upper_bound``
+set, each node that survives it and splits offers its greedy-clique cover.
 
 An exact leaf is searched only for covers that would beat that incumbent:
 its cutoff is the incumbent size less the leaf's committed vertices, and
@@ -96,7 +96,7 @@ class SolveConfig:
 
     leaf_size: int = 46
     strategy: str = "highest_degree"
-    lower_bounds: frozenset[str] = frozenset({"coloring"})
+    lower_bounds: frozenset[str] = frozenset({"coloring", "lp"})
     clique_upper_bound: bool = False
     reductions: tuple[str, ...] = ("neighbor",)
     leaf_solver: str = "exact"

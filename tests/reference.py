@@ -1,20 +1,24 @@
 """Reference views the solver is tested against, kept apart from the package.
 
-``brute_force_oracle`` is the optimum every solver test compares with, and
-``residual_graph`` is a subproblem rebuilt as a standalone ``Graph``, the
-view that the mask-reading code (``serialize_graph``, ``build_mvc_qubo``,
-``decode_cover``, the bounds) must agree with. None of it runs inside
-``solve`` or ``decompose``. So that the oracle can vouch for the solver,
-this module imports nothing from ``vertexcover`` but ``vertexcover.graphs``.
+``brute_force_oracle`` is the optimum every solver test compares with,
+``half_integral_lp_optimum`` the cover LP's optimum the LP bound is checked
+against, and ``residual_graph`` is a subproblem rebuilt as a standalone
+``Graph``, the view that the mask-reading code (``serialize_graph``,
+``build_mvc_qubo``, ``decode_cover``, the bounds) must agree with. None of
+it runs inside ``solve`` or ``decompose``. So that the oracle can vouch for
+the solver, this module imports nothing from ``vertexcover`` but
+``vertexcover.graphs``.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
 from vertexcover.graphs import Graph
 
 ORACLE_CAP = 24
+LP_CAP = 9
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
@@ -94,3 +98,20 @@ def brute_force_oracle(g: Graph) -> int:
             ripple = subset + low
             subset = (((ripple ^ subset) >> 2) // low) | ripple
     return n
+
+
+def half_integral_lp_optimum(g: Graph) -> float:
+    """Optimum of the cover LP (min sum x, x_u + x_v >= 1 on every edge, x >= 0).
+
+    The LP has a half-integral optimum (Nemhauser & Trotter 1975), so every
+    x in {0, 1/2, 1}^n is enumerated, as y = 2x in {0, 1, 2}^n.
+    """
+    n = g.n
+    if n > LP_CAP:
+        raise ValueError(f"LP enumeration capped at {LP_CAP} vertices, got {n}")
+    edges = list(g.edges())
+    best = 2 * n
+    for y in product(range(3), repeat=n):
+        if sum(y) < best and all(y[u] + y[v] >= 2 for u, v in edges):
+            best = sum(y)
+    return best / 2

@@ -19,7 +19,7 @@ from vertexcover import (
 from vertexcover.bounds import (
     LOWER_METHODS,
     lb_coloring,
-    lb_matching_half,
+    lb_lp,
     lb_spectral,
     ub_greedy_clique,
 )
@@ -97,7 +97,7 @@ def test_criterion_3_bound_sandwich(corpus_n24):
     """All enabled lower bounds stay at or below the optimum, all upper
     bounds at or above, and the greedy-clique witness is always a cover."""
     for g, oracle in corpus_n24:
-        lower = max(lb_matching_half(g), lb_spectral(g), lb_coloring(g))
+        lower = max(lb_lp(g), lb_spectral(g), lb_coloring(g))
         upper, witness = ub_greedy_clique(g)
         assert lower <= oracle <= upper
         assert is_vertex_cover(g, witness)

@@ -9,7 +9,7 @@ from vertexcover.bounds import (
     combine_bounds,
     greedy_clique_partition_bound,
     lb_coloring,
-    lb_matching_half,
+    lb_lp,
     lb_spectral,
     ub_greedy_clique,
     ub_local_search,
@@ -20,10 +20,11 @@ from reference import brute_force_oracle, residual_graph
 from conftest import complete_graph, cycle_graph, empty_graph, path_graph
 
 
-def test_matching_half_examples():
-    assert lb_matching_half(empty_graph(6)) == 0
-    assert lb_matching_half(complete_graph(4)) == 2
-    assert lb_matching_half(path_graph(3)) == 1
+def test_lp_examples():
+    assert lb_lp(empty_graph(6)) == 0
+    assert lb_lp(complete_graph(4)) == 2  # every vertex at one half
+    assert lb_lp(path_graph(3)) == 1
+    assert lb_lp(cycle_graph(5)) == 3  # LP optimum 5/2, above the colouring bound
 
 
 def test_spectral_examples():
@@ -73,8 +74,7 @@ def test_combine_bounds_defaults_to_trivial():
 
 def test_combine_bounds_is_best_named_bound(corpus_n16):
     """Every subset of the lower bounds gives the max of its members, 0 for none."""
-    by_name = {"matching_half": lb_matching_half, "spectral": lb_spectral,
-               "coloring": lb_coloring}
+    by_name = {"coloring": lb_coloring, "lp": lb_lp, "spectral": lb_spectral}
     assert set(by_name) == set(LOWER_METHODS)
     for g, _ in corpus_n16:
         values = {name: fn(g) for name, fn in by_name.items()}
@@ -86,7 +86,7 @@ def test_combine_bounds_is_best_named_bound(corpus_n16):
 
 def test_bounds_safety_against_oracle(corpus_n16):
     for g, oracle in corpus_n16:
-        for fn in (lb_matching_half, lb_spectral, lb_coloring):
+        for fn in (lb_lp, lb_spectral, lb_coloring):
             assert fn(g) <= oracle, fn.__name__
         size, witness = ub_greedy_clique(g)
         assert size >= oracle

@@ -71,6 +71,21 @@ def test_cli_defaults_match_solve_config():
     )
 
 
+def test_lower_bound_default_is_the_library_default(tmp_path, capsys):
+    """solve, decompose and bench-random prune with SolveConfig's bound set,
+    and their reports name it."""
+    parse = cli.build_parser().parse_args
+    for argv in (["solve", "g.dimacs"], ["decompose", "g.dimacs", "--output-dir", "out"],
+                 ["bench-random", "--n", "8", "--density", "0.5"]):
+        args = parse(argv)
+        assert cli._config_from_args(args).lower_bounds == SolveConfig().lower_bounds
+    path = tmp_path / "k3.dimacs"
+    path.write_text(K3_DIMACS)
+    _, out, _ = run_cli(capsys, ["solve", str(path)])
+    assert "|lb=coloring+lp|" in json.loads(out)["config"]
+    assert cli._LOWER_CHOICES["coloring+lp"] == SolveConfig().lower_bounds
+
+
 def test_solve_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.dimacs"
     path.write_text("p edge 2 1\ne 1 9\n")
@@ -225,7 +240,7 @@ def test_decompose_manifest_closure(tmp_path, capsys):
         out_dir = tmp_path / f"leaves{leaf_size}"
         code, out, _ = run_cli(capsys, [
             "decompose", str(path), "--output-dir", str(out_dir),
-            "--leaf-size", str(leaf_size), "--seed", "3",
+            "--leaf-size", str(leaf_size), "--seed", "3", "--lower-bound", "coloring",
         ])
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -259,7 +274,7 @@ def test_decompose_small_input_is_single_identical_leaf(tmp_path, capsys):
     out_dir = tmp_path / "leaves"
     code, _, _ = run_cli(capsys, [
         "decompose", str(path), "--output-dir", str(out_dir),
-        "--reduction", "none",
+        "--reduction", "none", "--lower-bound", "coloring",
     ])
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())

@@ -44,10 +44,19 @@ def test_solve_triangle_pruned_at_root():
 
 def test_solve_five_cycle_single_leaf():
     # the greedy-clique cover (3) is above lb_coloring (2): the root is a leaf
-    result = solve(cycle_graph(5), SolveConfig(leaf_size=46))
+    result = solve(cycle_graph(5), SolveConfig(leaf_size=46, lower_bounds={"coloring"}))
     assert result.size == 3
     assert result.leaf_count == 1
     assert result.subproblems_pruned == 0
+    assert is_vertex_cover(cycle_graph(5), result.cover)
+
+
+def test_solve_five_cycle_is_proved_at_the_root_by_default():
+    # the default bounds hold the LP bound, 5/2 rounded up: the greedy cover is optimal
+    result = solve(cycle_graph(5))
+    assert result.size == 3
+    assert result.leaf_count == 0
+    assert result.subproblems_pruned == 1
     assert is_vertex_cover(cycle_graph(5), result.cover)
 
 

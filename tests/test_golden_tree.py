@@ -41,6 +41,8 @@ GRAPHS = {
     "sparse-n60": (lambda: random_graph_avg_degree(60, 2, seed=5), 20),
     "dense-n30": (lambda: random_graph(30, 0.5, seed=11), 10),
     "keller-3": (lambda: keller_benchmark_graph(3), 8),
+    # its hand-off keeps leaves even from a searched, near-optimal incumbent
+    "dense-n50": (lambda: random_graph(50, 0.3, seed=3), 25),
 }
 CHAINS = ((), ("neighbor",), ("neighbor", "dominance"))
 BOUNDS = {"default": {}, "all": {"lower_bounds": LOWER_METHODS, "clique_upper_bound": True}}

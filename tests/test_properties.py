@@ -1,6 +1,7 @@
 """Property tests: random small graphs, QUBOs and solver settings against the oracles."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,7 @@ from vertexcover.bounds import (
     combine_bounds,
     greedy_clique_partition_bound,
     lb_coloring,
+    lb_lp,
     ub_greedy_clique,
     ub_local_search,
 )
@@ -38,7 +40,7 @@ from vertexcover.qubo import (
 from vertexcover.reductions import REDUCTIONS, reduce_chain, reduce_dominance
 from vertexcover.splitting import SELECTION_KINDS, Subproblem
 
-from reference import brute_force_oracle, residual_graph
+from reference import LP_CAP, brute_force_oracle, half_integral_lp_optimum, residual_graph
 from conftest import reparse_by_file_label
 
 
@@ -252,6 +254,35 @@ def test_lb_coloring_limit_decides_like_the_full_bound(g, keep):
                 assert 0 <= bounded <= full
 
 
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=LP_CAP), st.integers(0, 2**LP_CAP - 1))
+@example(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 0b11111)
+def test_lb_lp_is_the_rounded_up_lp_optimum(g, keep):
+    """The double-cover matching bound is the cover LP's optimum rounded up; on a
+    graph and on a subproblem."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    for instance, graph in ((g, g), (sub, residual_graph(sub))):
+        assert lb_lp(instance) == math.ceil(half_integral_lp_optimum(graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.integers(0, 2**14 - 1))
+def test_lb_lp_limit_decides_like_the_full_bound(g, keep):
+    """With every limit the bound reaches the limit exactly when the full bound
+    does, and is then the full bound; below it, it stays a safe bound. On a
+    graph and a subproblem."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    for instance in (g, sub):
+        full = lb_lp(instance)
+        for limit in range(instance.n + 2):
+            bounded = lb_lp(instance, limit)
+            assert (bounded >= limit) == (full >= limit), limit
+            if bounded >= limit:
+                assert bounded == full, limit
+            else:
+                assert 0 <= bounded <= full, limit
+
+
 def recount_reduce_neighbor(s):
     """Reference: the same rules with every degree recounted on each pass."""
     masks, alive, committed = s.adjacency_masks, s.alive, set()
@@ -341,7 +372,8 @@ def test_combine_bounds_limit_decides_like_the_full_bound(g, keep):
             bounded = combine_bounds(instance, names, limit)
             assert (bounded >= limit) == (full >= limit), (names, limit)
             if bounded >= limit:
-                assert bounded == full, (names, limit)
+                # the first bound to reach the limit ends the call
+                assert limit <= bounded <= full, (names, limit)
             else:
                 assert 0 <= bounded <= full, (names, limit)
 

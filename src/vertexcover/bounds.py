@@ -4,7 +4,9 @@ Every lower bound is at most the optimum on every input, and every bound is
 a deterministic function of the graph. ``combine_bounds`` runs the named
 lower bounds cheapest first (colouring, LP, spectral) and stops at the first
 that reaches its ``limit``. The default set is the colouring bound, the
-stronger on dense residual graphs, and the LP bound, on sparse ones.
+stronger on dense residual graphs, and the LP bound, on sparse ones. The
+colouring bound is a clique partition tightened by unit propagation over
+its classes, as in MaxSAT-based clique search.
 
 Every bound takes a Graph or a Subproblem alike: it reads only
 ``adjacency_masks``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
@@ -145,47 +147,100 @@ def lb_spectral(g) -> int:
     return max(0, n - (n_zero + min(n_pos, n_neg)))
 
 
+def _disjoint_conflicts(masks, classes, units, want) -> int:
+    """The number of disjoint conflicts, up to ``want``, that unit propagation
+    finds among the clique ``classes``; ``units`` lists the one-vertex ones.
+
+    Each round starts from the classes not yet set aside. A unit, the latest
+    first, takes its vertex, which deletes its neighbours from every other
+    class; a class left with one vertex becomes a unit in turn. ``why[j]`` is
+    class j with the reasons of every unit that shrank it. The first class
+    left empty is a conflict: its reasons are set aside and the next round
+    begins. A round with no conflict ends the search.
+    """
+    k = 0
+    live = list(range(len(classes)))
+    ones = [1 << i for i in live]
+    while True:
+        left, why, stack = classes[:], ones[:], units[:]
+        conflict = 0
+        while stack and not conflict:
+            i = stack.pop()
+            nbrs = masks[left[i].bit_length() - 1]
+            for j in live:
+                if left[j] & nbrs:
+                    rest = left[j] = left[j] & ~nbrs
+                    why[j] |= why[i]
+                    if not rest & (rest - 1):
+                        if not rest:
+                            conflict = why[j]
+                            break
+                        stack.append(j)
+        if not conflict:
+            return k
+        k += 1
+        if k == want:
+            return k
+        live = [i for i in live if not conflict >> i & 1]
+        units = [i for i in units if not conflict >> i & 1]
+
+
 def lb_coloring(g, limit: int | None = None) -> int:
-    """n minus a greedy proper coloring of the complement.
+    """n minus a greedy proper coloring of the complement, plus the disjoint
+    conflicts unit propagation finds among its classes (Li & Quan 2010).
 
-    The coloring count bounds the complement's clique number from above,
-    hence the independence number of g, hence the cover size from below.
-    A color class of the complement is a clique of g. Classes are built one
-    at a time in ascending (degree, id) order, largest complement degree
-    first: a class starts at the first uncolored vertex and takes each later
-    one adjacent to all its members, found as the lowest id in the lowest
-    degree level holding one. A class only grows, so a vertex it skips can
-    never join it later: these are first-fit's classes in that order.
+    A color class of the complement is a clique of g, so an independent set
+    takes at most one vertex from each, and the class count bounds the
+    independence number from above. Classes are built one at a time in
+    ascending (degree, id) order, largest complement degree first: a class
+    starts at the first uncolored vertex and takes each later one adjacent to
+    all its members, found as the lowest id in the lowest degree level
+    holding one. A class only grows, so a vertex it skips can never join it
+    later: these are first-fit's classes in that order.
 
-    With a ``limit``, coloring stops before the class count would exceed
-    ``n - limit``: the count only grows, so the bound can no longer reach
-    ``limit``. The result is then the vertices of the completed classes
-    less their number, below ``limit`` and at most the full bound. When the
-    full bound reaches ``limit``, coloring never stops early.
+    Unit propagation (``_disjoint_conflicts``) starts from the single-vertex
+    classes. No independent set meets every class of a conflict, so k
+    disjoint conflicts give the bound ``n - classes + k``. Each conflict holds
+    a single-vertex class, so the bound is at most n less the classes of two
+    or more vertices. With a ``limit``, coloring stops once those exceed
+    ``n - limit``, and the result is the vertices of the completed classes
+    less their number; propagation stops once the bound reaches ``limit``.
+    Either way the result reaches ``limit`` exactly when the full bound does,
+    and then lies between the two; below it, it is at most the full bound.
     """
     masks, degrees = g.adjacency_masks, g.degrees
-    most = g.n if limit is None else g.n - limit  # classes the bound can afford
+    most = g.n if limit is None else g.n - limit  # classes of 2+ it can afford
     by_degree: dict[int, int] = {}
     for v in g.vertices():
         by_degree[degrees[v]] = by_degree.get(degrees[v], 0) | 1 << v
     levels = [by_degree[d] for d in sorted(by_degree)]
     uncolored = g.alive
-    colored = classes = first = 0
-    while uncolored and classes < most:
+    classes: list[int] = []
+    units: list[int] = []  # single-vertex classes
+    pairs = first = 0  # classes of two or more vertices
+    while uncolored and pairs <= most:
         while not uncolored & levels[first]:
             first += 1
-        candidates, level = uncolored, first
+        candidates, level, members = uncolored, first, 0
         while candidates:
             found = candidates & levels[level]
             while not found:
                 level += 1
                 found = candidates & levels[level]
             low = found & -found
-            uncolored ^= low
+            members |= low
             candidates &= masks[low.bit_length() - 1]
-            colored += 1
-        classes += 1
-    return colored - classes
+        uncolored ^= members
+        if members & (members - 1):
+            pairs += 1
+        else:
+            units.append(len(classes))
+        classes.append(members)
+    bound = g.n - uncolored.bit_count() - len(classes)
+    want = len(units) if limit is None else limit - bound  # conflicts to seek
+    if pairs > most or want <= 0:
+        return bound
+    return bound + _disjoint_conflicts(masks, classes, units, want)
 
 
 def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
@@ -259,7 +314,8 @@ def combine_bounds(g: Graph | Subproblem, names, limit: int | None = None) -> in
     and then lies between the two; below it, it is at most the full best.
     """
     best = lb_coloring(g, limit) if "coloring" in names else 0
-    if "lp" in names and (limit is None or best < limit):
+    # lb_lp reaches no limit above (n + 1) / 2; skip the call, not just its work
+    if "lp" in names and (limit is None or best < limit and 2 * limit - 1 <= g.n):
         best = max(best, lb_lp(g, limit))
     if "spectral" in names and (limit is None or best < limit):
         best = max(best, lb_spectral(g))

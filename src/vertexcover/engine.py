@@ -21,7 +21,8 @@ bound takes no leaf at all. ``solve`` starts from the greedy-clique cover;
 leaves are the one exception: they are still dispatched before any bound, as
 they were before bounding came first, until the annealer benchmark's inputs
 are re-chosen to keep several annealer leaves when every leaf is bounded. The
-bound, by default the colouring and LP bounds, is asked only whether it
+bound, by default the colouring bound (a clique partition tightened by unit
+propagation over its classes) and the LP bound, is asked only whether it
 reaches the cutoff, so each stops once it cannot. With ``clique_upper_bound``
 set, each node that survives it and splits offers its greedy-clique cover.
 

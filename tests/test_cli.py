@@ -230,7 +230,8 @@ def test_export_qubo_round_trip(tmp_path, capsys):
 def test_decompose_manifest_closure(tmp_path, capsys):
     from vertexcover import random_graph
 
-    # the second graph's leaves keep edges, so the mapping is exercised
+    # with no lower bound the second graph's leaves keep edges, so the mapping
+    # is exercised; the colouring bound alone proves both incumbents
     leaves_with_edges = 0
     for g, leaf_size in ((random_graph(16, 0.35, seed=9), 5),
                          (random_graph(20, 0.5, seed=9), 8)):
@@ -240,7 +241,7 @@ def test_decompose_manifest_closure(tmp_path, capsys):
         out_dir = tmp_path / f"leaves{leaf_size}"
         code, out, _ = run_cli(capsys, [
             "decompose", str(path), "--output-dir", str(out_dir),
-            "--leaf-size", str(leaf_size), "--seed", "3", "--lower-bound", "coloring",
+            "--leaf-size", str(leaf_size), "--seed", "3", "--lower-bound", "none",
         ])
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -268,13 +269,13 @@ def test_decompose_manifest_closure(tmp_path, capsys):
 
 
 def test_decompose_small_input_is_single_identical_leaf(tmp_path, capsys):
-    # C5's colouring bound, 2, is below its optimum, 3, so the root is kept whole
+    # with no lower bound nothing proves C5's incumbent, so the root is kept whole
     path = tmp_path / "c5.dimacs"
     path.write_text(C5_DIMACS)
     out_dir = tmp_path / "leaves"
     code, _, _ = run_cli(capsys, [
         "decompose", str(path), "--output-dir", str(out_dir),
-        "--reduction", "none", "--lower-bound", "coloring",
+        "--reduction", "none", "--lower-bound", "none",
     ])
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -353,13 +354,13 @@ def test_decompose_deterministic_modulo_timing(tmp_path, capsys):
     from vertexcover import random_graph
 
     path = tmp_path / "g.dimacs"
-    path.write_text(serialize_graph(random_graph(50, 0.3, seed=3), "dimacs"))
+    path.write_text(serialize_graph(random_graph(64, 0.25, seed=3), "dimacs"))
     runs = []
     for name in ("first", "second"):
         out_dir = tmp_path / name
         code, _, _ = run_cli(capsys, [
             "decompose", str(path), "--output-dir", str(out_dir),
-            "--leaf-size", "25", "--seed", "5",
+            "--leaf-size", "28", "--seed", "5",
         ])
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())

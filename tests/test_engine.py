@@ -43,8 +43,8 @@ def test_solve_triangle_pruned_at_root():
 
 
 def test_solve_five_cycle_single_leaf():
-    # the greedy-clique cover (3) is above lb_coloring (2): the root is a leaf
-    result = solve(cycle_graph(5), SolveConfig(leaf_size=46, lower_bounds={"coloring"}))
+    # with no lower bound nothing proves the greedy-clique cover (3): the root is a leaf
+    result = solve(cycle_graph(5), SolveConfig(leaf_size=46, lower_bounds=set()))
     assert result.size == 3
     assert result.leaf_count == 1
     assert result.subproblems_pruned == 0
@@ -218,7 +218,8 @@ def test_per_depth_stats_account_for_all_nodes():
 
 def test_decompose_only_whole_graph_is_single_leaf():
     g = random_graph(12, 0.4, seed=21)
-    dec = decompose_only(g, SolveConfig(leaf_size=20, reductions=(), seed=21))
+    cfg = SolveConfig(leaf_size=20, reductions=(), lower_bounds=set(), seed=21)
+    dec = decompose_only(g, cfg)
     assert dec.leaf_count == 1
     assert residual_graph(dec.leaves[0]).adjacency == g.adjacency
     assert dec.leaves[0].committed == frozenset()
@@ -228,7 +229,7 @@ def test_decompose_only_leaves_drop_their_caches(monkeypatch):
     # every leaf is bounded, which fills Subproblem.degrees; a kept leaf drops it
     dropped = []
     monkeypatch.setattr(engine.Subproblem, "drop_caches", lambda leaf: dropped.append(leaf))
-    dec = decompose_only(random_graph(50, 0.3, seed=3), SolveConfig(leaf_size=25, seed=3))
+    dec = decompose_only(random_graph(64, 0.25, seed=3), SolveConfig(leaf_size=28, seed=3))
     assert dec.leaf_count > 1
     assert list(map(id, dropped)) == list(map(id, dec.leaves))
 
@@ -237,8 +238,8 @@ def test_decompose_only_leaves_hold_no_degrees():
     # the reduction seeds Subproblem.degrees on every node it shrinks; kept
     # leaves must still hold none, or a long leaf list keeps a dict per leaf
     for chain in ((), ("neighbor",), ("dominance",), ("neighbor", "dominance")):
-        cfg = SolveConfig(leaf_size=25, reductions=chain, seed=3)
-        dec = decompose_only(random_graph(50, 0.3, seed=3), cfg)
+        cfg = SolveConfig(leaf_size=28, reductions=chain, seed=3)
+        dec = decompose_only(random_graph(64, 0.25, seed=3), cfg)
         assert dec.leaf_count > 1
         assert all("degrees" not in leaf.__dict__ for leaf in dec.leaves)
 

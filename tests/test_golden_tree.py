@@ -41,8 +41,10 @@ GRAPHS = {
     "sparse-n60": (lambda: random_graph_avg_degree(60, 2, seed=5), 20),
     "dense-n30": (lambda: random_graph(30, 0.5, seed=11), 10),
     "keller-3": (lambda: keller_benchmark_graph(3), 8),
-    # its hand-off keeps leaves even from a searched, near-optimal incumbent
     "dense-n50": (lambda: random_graph(50, 0.3, seed=3), 25),
+    # its hand-off keeps leaves in every entry, from a searched incumbent and
+    # with the colouring bound's conflicts
+    "dense-n56": (lambda: random_graph(56, 0.3, seed=3), 24),
 }
 CHAINS = ((), ("neighbor",), ("neighbor", "dominance"))
 BOUNDS = {"default": {}, "all": {"lower_bounds": LOWER_METHODS, "clique_upper_bound": True}}

@@ -219,37 +219,30 @@ def first_fit_classes(g) -> list[int]:
     return classes
 
 
-def first_fit_bound(g, limit=None) -> int:
-    """The colouring bound from the reference classes. With a ``limit`` whose
-    class budget ``n - limit`` the classes exceed, the early exit: the vertices
-    of the classes within budget less their number."""
-    classes = first_fit_classes(g)
-    most = g.n if limit is None else g.n - limit
-    if len(classes) <= most:
-        return g.n - len(classes)
-    done = classes[:max(most, 0)]
-    return sum(members.bit_count() for members in done) - len(done)
-
-
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.integers(0, 2**14 - 1))
 @example(build_graph(1, []), 1)  # limit n + 1 = 2 leaves a class budget of -1
 @example(build_graph(3, []), 0)
+@example(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 0b11111)
 def test_lb_coloring_limit_decides_like_the_full_bound(g, keep):
-    """The bound is first-fit's, and with every limit it is the early exit of
-    first-fit's classes: it reaches the limit exactly when the full bound does,
-    and is then the full bound; below it, it stays a safe bound. On a graph and
-    a subproblem."""
+    """The bound lies between first-fit's and the optimum, and exceeds
+    first-fit's by at most its single-vertex classes, since every conflict
+    holds one. With every limit it reaches the limit exactly when the full
+    bound does, and then lies between the two; below it, it stays a safe
+    bound. On a graph and a subproblem."""
     sub = Subproblem(base=g, alive=g.alive & keep)
-    for instance in (g, sub):
+    for instance, graph in ((g, g), (sub, residual_graph(sub))):
         full = lb_coloring(instance)
-        assert full == first_fit_bound(instance)
+        classes = first_fit_classes(instance)
+        plain = instance.n - len(classes)  # first-fit's bound
+        units = sum(not c & (c - 1) for c in classes)
+        assert plain <= full <= brute_force_oracle(graph)
+        assert full - plain <= units
         for limit in range(instance.n + 2):
             bounded = lb_coloring(instance, limit)
-            assert bounded == first_fit_bound(instance, limit), limit
-            assert (bounded >= limit) == (full >= limit)
+            assert (bounded >= limit) == (full >= limit), limit
             if bounded >= limit:
-                assert bounded == full
+                assert limit <= bounded <= full
             else:
                 assert 0 <= bounded <= full
 

@@ -262,13 +262,18 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
 def _lowest_swap(masks, indep: int, tight: int) -> int:
     """Bits of the (1,2)-swap at the lowest x in ``indep`` with two non-adjacent
     ``tight`` neighbours, the lowest such pair u < w; 0 when none applies."""
-    for x in bits(indep):
-        candidates = masks[x] & tight
+    while indep:
+        low = indep & -indep
+        indep ^= low
+        candidates = masks[low.bit_length() - 1] & tight
         if candidates & (candidates - 1):  # at least two
-            for u in bits(candidates):
-                partners = candidates & ~masks[u] & ~(1 << u)
+            rest = candidates
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                partners = candidates & ~masks[u.bit_length() - 1] & ~u
                 if partners:
-                    return 1 << x | 1 << u | (partners & -partners)
+                    return low | u | (partners & -partners)
     return 0
 
 
@@ -286,11 +291,17 @@ def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
     def local_optimum(indep: int) -> int:
         while True:
             one = two = 0  # vertices with at least one, two independent neighbours
-            for x in bits(indep):
-                two |= one & masks[x]
-                one |= masks[x]
-            free = alive & ~(indep | one)
-            move = free & -free or _lowest_swap(masks, indep, alive & one & ~two)
+            join, indep = indep or alive & -alive, 0  # an empty set: its first free vertex
+            while join:  # indep again, then each free vertex, lowest first
+                low = join & -join
+                join ^= low
+                indep |= low
+                two |= one & masks[low.bit_length() - 1]
+                one |= masks[low.bit_length() - 1]
+                if not join:
+                    join = alive & ~(indep | one)
+                    join &= -join
+            move = _lowest_swap(masks, indep, alive & one & ~two)
             if not move:
                 return indep
             indep ^= move
@@ -298,7 +309,10 @@ def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
     best = current = local_optimum(alive & ~sum(1 << v for v in ub_greedy_clique(g)[1]))
     rng = random.Random(seed)
     for _ in range(2 * g.n if current != alive else 0):
-        v = rng.choice(bits(alive & ~current))
+        outside = alive & ~current
+        for _ in range(rng.randrange(outside.bit_count())):  # rng.choice(bits(outside))'s draw
+            outside &= outside - 1
+        v = (outside & -outside).bit_length() - 1
         trial = local_optimum((current & ~masks[v]) | 1 << v)
         current = max(trial, current, key=int.bit_count)  # the trial on a tie
         best = max(best, current, key=int.bit_count)

@@ -17,11 +17,9 @@ pruned when its committed vertices plus the best of the ``lower_bounds``
 cannot beat the best complete cover found so far, so a leaf the bound rules
 out is never dispatched or kept: a graph whose first incumbent meets its root
 bound takes no leaf at all. ``solve`` starts from the greedy-clique cover;
-``decompose_only``, which solves no leaf, from ``ub_local_search``'s. QUBO
-leaves are the one exception: they are still dispatched before any bound, as
-they were before bounding came first, until the annealer benchmark's inputs
-are re-chosen to keep several annealer leaves when every leaf is bounded. The
-bound, by default the colouring bound (a clique partition tightened by unit
+``decompose_only``, which solves no leaf, from ``ub_local_search``'s. The
+rule holds for every leaf solver: a triangle takes no leaf, exact or QUBO.
+The bound, by default the colouring bound (a clique partition tightened by unit
 propagation over its classes) and the LP bound, is asked only whether it
 reaches the cutoff, so each stops once it cannot. With ``clique_upper_bound``
 set, each node that survives it and splits offers its greedy-clique cover.
@@ -320,7 +318,6 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
     best = (ub_greedy_clique(g) if dispatch else ub_local_search(g, node_key(cfg.seed, 1)))[1]
     stats = _Stats()
     leaves: list[Subproblem] = []
-    qubo_leaves = dispatch and cfg.leaf_solver != "exact"  # dispatched unbounded
     stats.generated[0] += 1
     stack = [Subproblem.root(g)]
     while stack:
@@ -328,14 +325,12 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
         if cfg.reductions:
             node = reduce_chain(node, cfg.reductions).reduced
 
-        leaf = node.n <= cfg.leaf_size
-        if not (leaf and qubo_leaves):
-            need = len(best) - len(node.committed)
-            if combine_bounds(node, cfg.lower_bounds, need) >= need:
-                stats.pruned[node.depth] += 1
-                continue
+        need = len(best) - len(node.committed)
+        if combine_bounds(node, cfg.lower_bounds, need) >= need:
+            stats.pruned[node.depth] += 1
+            continue
 
-        if leaf:
+        if node.n <= cfg.leaf_size:
             if dispatch:
                 cover = _dispatch_leaf(node, cfg, len(best), stats)
                 if cover is not None:

@@ -61,12 +61,12 @@ def test_solve_five_cycle_is_proved_at_the_root_by_default():
 
 
 @pytest.mark.parametrize("solver", ["qubo_exhaustive", "qubo_anneal"])
-def test_qubo_leaf_is_dispatched_before_the_bound(solver):
-    # a QUBO leaf is solved even where the bound alone proves the incumbent optimal
+def test_qubo_leaf_is_bounded_first(solver):
+    # as with exact leaves, the bound proves the greedy-clique cover optimal at the root
     result = solve(complete_graph(3), SolveConfig(leaf_size=46, leaf_solver=solver))
     assert result.size == 2
-    assert result.leaf_count == 1
-    assert result.subproblems_pruned == 0
+    assert result.leaf_count == 0
+    assert result.subproblems_pruned == 1
 
 
 @pytest.mark.parametrize("solver", ["qubo_exhaustive", "qubo_anneal"])
@@ -75,7 +75,7 @@ def test_qubo_leaves_build_no_graph(solver, monkeypatch):
     def refuse(*args):
         raise AssertionError("Graph built on the solve path")
 
-    g = random_graph(20, 0.3, seed=5)
+    g = random_graph(50, 0.3, seed=5)  # keeps 3 leaves past the bound
     monkeypatch.setattr(Graph, "__init__", refuse)
     result = solve(g, SolveConfig(leaf_size=8, leaf_solver=solver, seed=5))
     assert result.leaf_count >= 2
@@ -395,7 +395,7 @@ def test_random_strategy_draws_from_config_seed(monkeypatch):
 def test_anneal_seed_is_the_leaf_node_key(monkeypatch):
     """Each annealer run is seeded by node_key(SolveConfig.seed, path) of its
     leaf, so a leaf's run depends on the seed and its place in the tree alone."""
-    g = random_graph_avg_degree(30, 4, seed=2)
+    g = random_graph(50, 0.3, seed=5)  # keeps 3 leaves past the bound
     built, seeds = [], []
 
     def recording_build(node, *args):

@@ -14,6 +14,7 @@ cover size differs from the recorded one: a change of the tree may move
 work between leaves and pruned nodes, but never changes the optimum.
 """
 
+import functools
 import itertools
 import json
 import sys
@@ -50,6 +51,7 @@ CHAINS = ((), ("neighbor",), ("neighbor", "dominance"))
 BOUNDS = {"default": {}, "all": {"lower_bounds": LOWER_METHODS, "clique_upper_bound": True}}
 
 
+@functools.cache  # built once per run, for the golden check, the accounting and rerecord
 def tree_signatures(name: str) -> dict[str, list]:
     build, leaf_size = GRAPHS[name]
     g = build()

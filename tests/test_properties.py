@@ -74,6 +74,18 @@ def test_solve_matches_oracle(g, cfg):
 
 
 @settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12), configs, st.sampled_from(("qubo_exhaustive", "qubo_anneal")))
+def test_bounds_never_change_a_qubo_solve_cover(g, cfg, solver):
+    """A QUBO leaf the bound prunes cannot beat the incumbent, and the annealer is
+    seeded by the leaf's path, so the bounds move only the leaf and pruned counts."""
+    cfg = replace(cfg, leaf_solver=solver, anneal_reads=4, anneal_sweeps=10)
+    bounded = solve(g, cfg)
+    unbounded = solve(g, replace(cfg, lower_bounds=frozenset()))
+    assert bounded.cover == unbounded.cover
+    assert bounded.leaf_count <= unbounded.leaf_count
+
+
+@settings(max_examples=300, deadline=None)
 @given(graphs(), configs)
 def test_decompose_only_offline_completion_matches_oracle(g, cfg):
     """Each leaf completes to a cover; the best completion, or the incumbent, is optimal."""

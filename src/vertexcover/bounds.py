@@ -29,7 +29,6 @@ from .splitting import Subproblem
 
 __all__ = [
     "LOWER_METHODS",
-    "greedy_clique_partition_bound",
     "lb_lp",
     "lb_spectral",
     "lb_coloring",
@@ -39,26 +38,6 @@ __all__ = [
 ]
 
 LOWER_METHODS = ("coloring", "lp", "spectral")  # cheapest first
-
-
-def greedy_clique_partition_bound(masks, alive: int) -> int:
-    """Alive vertices less the cliques of a greedy clique partition.
-
-    Each unused vertex, in ascending id order, starts a clique that takes,
-    in ascending id order, every unused vertex adjacent to all its members.
-    A cover holds all but at most one vertex of each clique.
-    """
-    bound = 0
-    while alive:
-        low = alive & -alive
-        alive ^= low
-        candidates = masks[low.bit_length() - 1] & alive
-        while candidates:
-            low = candidates & -candidates
-            alive ^= low
-            candidates &= masks[low.bit_length() - 1]
-            bound += 1
-    return bound
 
 
 def lb_lp(g, limit: int | None = None) -> int:

@@ -12,25 +12,27 @@ QUBO leaf through ``build_mvc_qubo`` and ``decode_cover``, whose variable i
 is the leaf's vertex ``vertices()[i]``. No node builds a standalone
 ``Graph``, and every leaf cover comes back in input-graph ids.
 
-Each node is reduced, then bounded, and only then made a leaf or split. It is
-pruned when its committed vertices plus the best of the ``lower_bounds``
-cannot beat the best complete cover found so far, so a leaf the bound rules
-out is never dispatched or kept: a graph whose first incumbent meets its root
-bound takes no leaf at all. ``solve`` starts from the greedy-clique cover;
-``decompose_only``, which solves no leaf, from ``ub_local_search``'s. The
-rule holds for every leaf solver: a triangle takes no leaf, exact or QUBO.
-The bound, by default the colouring bound (a clique partition tightened by unit
-propagation over its classes) and the LP bound, is asked only whether it
-reaches the cutoff, so each stops once it cannot. With ``clique_upper_bound``
-set, each node that survives it and splits offers its greedy-clique cover.
+There is one search loop, ``_search``. Each node is reduced, then bounded,
+and only then made a leaf or split. It is pruned when its committed vertices
+plus the best of the ``lower_bounds`` cannot beat the best complete cover
+found so far, so a leaf the bound rules out is never dispatched or kept: a
+graph whose first incumbent meets its root bound takes no leaf at all.
+``solve`` starts from the greedy-clique cover; ``decompose_only``, which
+solves no leaf, from ``ub_local_search``'s. The rule holds for every leaf
+solver: a triangle takes no leaf, exact or QUBO. The bound, by default the
+colouring bound (a clique partition tightened by unit propagation over its
+classes) and the LP bound, is asked only whether it reaches the cutoff, so
+each stops once it cannot. With ``clique_upper_bound`` set, each node that
+survives it and splits offers its greedy-clique cover.
 
-An exact leaf is searched only for covers that would beat that incumbent:
-its cutoff is the incumbent size less the leaf's committed vertices, and
-``exact_leaf_solve`` returns ``None`` when the leaf has no cover below it.
-A leaf cover could only ever replace the incumbent when it is below the
-cutoff, and any such cover survives every prune the cutoff adds, so the
-incumbent, the tree and the final cover are the same as with leaves solved
-to their own optimum.
+The exact leaf solver runs the same loop on the leaf, down to the empty
+graph, with no reduction and the greedy-clique offer at every node. It is
+asked only for covers that would beat the incumbent: its cutoff is the
+incumbent size less the leaf's committed vertices, and ``exact_leaf_solve``
+returns ``None`` when the leaf has no cover below it. A leaf cover could
+only ever replace the incumbent when it is below the cutoff, and any such
+cover survives every prune the cutoff adds, so the incumbent, the tree and
+the final cover are the same as with leaves solved to their own optimum.
 
 Preprocessing time is the decomposition work alone; time spent inside leaf
 solvers is excluded and modeled instead as a fixed cost per dispatched leaf.
@@ -47,11 +49,10 @@ from dataclasses import dataclass
 from .bounds import (
     LOWER_METHODS,
     combine_bounds,
-    greedy_clique_partition_bound,
     ub_greedy_clique,
     ub_local_search,
 )
-from .graphs import Graph, bits
+from .graphs import Graph
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
 from .reductions import REDUCTIONS, reduce_chain
 from .splitting import SELECTION_KINDS, Subproblem, node_key, select_vertex, split
@@ -181,84 +182,6 @@ def is_vertex_cover(g: Graph, cover) -> bool:
     return all(u in cover or v in cover for u, v in g.edges())
 
 
-# -- direct solvers ----------------------------------------------------------
-
-def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int] | None:
-    """Exact minimum vertex cover by branching on a highest-degree vertex.
-
-    Takes a Graph or a Subproblem and returns vertex ids of what it was
-    given. Pendant and isolated vertices are resolved without branching; a
-    greedy clique-partition bound prunes against the best cover found so
-    far. Each branch is bounded as it leaves the stack, before its degree
-    scan, and again only if pendants were then removed. A cut subtree holds
-    no cover smaller than the best, so the improving covers, found in the
-    same order, and the result are those of bounding after the scan alone.
-    The search keeps its open branches on an explicit stack, so its
-    depth is not limited by the interpreter's recursion limit.
-
-    ``limit`` is an optional cutoff: only covers smaller than it are sought,
-    and the search starts at the smaller of the greedy-clique cover's size
-    and ``limit``. The result is then ``None`` when no cover smaller than
-    ``limit`` exists, and otherwise the same cover as without a cutoff.
-    """
-    n = g.n
-    if limit is not None and limit <= 0:
-        return None
-    if n == 0:
-        return set()
-    if n > EXACT_LEAF_COMFORT_CAP:
-        warnings.warn(
-            f"exact cover search on {n} vertices may take a long time",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    masks = g.adjacency_masks
-    best_size, best_cover = ub_greedy_clique(g)
-    if limit is not None and limit <= best_size:
-        best_size, best_cover = limit, None
-    stack = [(g.alive, 0)]  # (alive vertices, chosen cover vertices)
-    while stack:
-        alive, chosen = stack.pop()
-        count = chosen.bit_count()
-        if count + greedy_clique_partition_bound(masks, alive) >= best_size:
-            continue
-        entry = alive
-        while count < best_size:
-            max_deg = 0
-            branch = -1
-            pendant = -1
-            scan = alive
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                v = low.bit_length() - 1
-                d = (masks[v] & alive).bit_count()
-                if d == 1 and pendant < 0:
-                    pendant = v
-                if d > max_deg:
-                    max_deg = d
-                    branch = v
-            if pendant < 0:
-                break
-            nb = masks[pendant] & alive
-            chosen |= nb
-            count += 1
-            alive &= ~(nb | (1 << pendant))
-        if count >= best_size:
-            continue
-        if branch < 0:  # no edges left: a better cover
-            best_size, best_cover = count, bits(chosen)
-            continue
-        if alive != entry and count + greedy_clique_partition_bound(masks, alive) >= best_size:
-            continue
-        nbrs = masks[branch] & alive
-        # exclude v first (popped first): committing the whole
-        # neighborhood shrinks fastest
-        stack.append((alive & ~(1 << branch), chosen | (1 << branch)))
-        stack.append((alive & ~(nbrs | (1 << branch)), chosen | nbrs))
-    return None if best_cover is None else set(best_cover)
-
-
 # -- traversal ---------------------------------------------------------------
 
 class _Stats:
@@ -282,6 +205,77 @@ class _Stats:
             DepthStats(d, self.generated[d], self.pruned[d], self.leaves[d])
             for d in depths
         )
+
+
+def _search(root: Subproblem, cfg: SolveConfig, leaf_size: int, size: int, best, leaf, stats):
+    """Depth-first search under ``root`` for a cover smaller than ``size``;
+    ``best`` is a cover of that size, or ``None`` when ``size`` is only a cutoff.
+
+    Each node is reduced by ``cfg.reductions``, then pruned when its committed
+    vertices plus the best of ``cfg.lower_bounds`` reach ``size``. A node left
+    with at most ``leaf_size`` vertices goes to ``leaf(node, size)``, which
+    returns a cover of the whole graph or ``None``. Any other node offers its
+    greedy-clique cover when ``cfg.clique_upper_bound`` is set, then splits,
+    its "vertex in cover" child on top of the stack. A cover replaces the
+    incumbent only when it is smaller. Returns the final incumbent.
+    """
+    stats.generated[root.depth] += 1
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if cfg.reductions:
+            node = reduce_chain(node, cfg.reductions).reduced
+
+        need = size - len(node.committed)
+        if combine_bounds(node, cfg.lower_bounds, need) >= need:
+            stats.pruned[node.depth] += 1
+            continue
+
+        if node.n <= leaf_size:
+            cover = leaf(node, size)
+        else:
+            cover = node.committed | ub_greedy_clique(node)[1] if cfg.clique_upper_bound else None
+            s_plus, s_minus = split(node, select_vertex(node, cfg.strategy, cfg.seed))
+            stats.generated[s_plus.depth] += 2
+            stack += (s_minus, s_plus)
+        if cover is not None and len(cover) < size:
+            size, best = len(cover), cover
+    return best
+
+
+# What the exact leaf search runs the loop with, not a setting: no reduction,
+# and the greedy-clique offer, which at an edgeless node is its committed
+# vertices, so both children of its split are pruned.
+_EXACT_LEAF = SolveConfig(reductions=(), clique_upper_bound=True)
+
+
+def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int] | None:
+    """Exact minimum vertex cover, searched by the solver's own loop down to
+    the empty graph.
+
+    Takes a Graph or a Subproblem and returns vertex ids of what it was
+    given. Every node is bounded by the default lower bounds, offers its
+    greedy-clique cover, and splits at a highest-degree vertex; a node with
+    no vertex left is a cover. The open nodes are kept on an explicit stack,
+    so the depth is not limited by the interpreter's recursion limit.
+
+    ``limit`` is an optional cutoff: only covers smaller than it are sought,
+    and the search starts at the smaller of the greedy-clique cover's size
+    and ``limit``. The result is then ``None`` when no cover smaller than
+    ``limit`` exists, and otherwise the same cover as without a cutoff.
+    """
+    if g.n > EXACT_LEAF_COMFORT_CAP:
+        warnings.warn(
+            f"exact cover search on {g.n} vertices may take a long time",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    root = Subproblem(g.base if isinstance(g, Subproblem) else g, g.alive)
+    size, best = ub_greedy_clique(root)
+    if limit is not None and limit <= size:
+        size, best = limit, None
+    best = _search(root, _EXACT_LEAF, 0, size, best, lambda node, _: node.committed, _Stats())
+    return None if best is None else set(best)
 
 
 def _qubo_leaf_cover(node: Subproblem, cfg: SolveConfig) -> set[int]:
@@ -315,40 +309,19 @@ def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, best_size: int, stats: _S
 
 def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
     t_start = time.perf_counter()
-    best = (ub_greedy_clique(g) if dispatch else ub_local_search(g, node_key(cfg.seed, 1)))[1]
     stats = _Stats()
     leaves: list[Subproblem] = []
-    stats.generated[0] += 1
-    stack = [Subproblem.root(g)]
-    while stack:
-        node = stack.pop()
-        if cfg.reductions:
-            node = reduce_chain(node, cfg.reductions).reduced
 
-        need = len(best) - len(node.committed)
-        if combine_bounds(node, cfg.lower_bounds, need) >= need:
-            stats.pruned[node.depth] += 1
-            continue
+    def leaf(node: Subproblem, size: int):
+        if dispatch:
+            return _dispatch_leaf(node, cfg, size, stats)
+        stats.merge_leaf(node.depth, node.n, 0.0)
+        node.drop_caches()
+        leaves.append(node)
+        return None
 
-        if node.n <= cfg.leaf_size:
-            if dispatch:
-                cover = _dispatch_leaf(node, cfg, len(best), stats)
-                if cover is not None:
-                    best = min(best, cover, key=len)
-            else:
-                stats.merge_leaf(node.depth, node.n, 0.0)
-                node.drop_caches()
-                leaves.append(node)
-            continue
-
-        if cfg.clique_upper_bound:
-            best = min(best, node.committed | ub_greedy_clique(node)[1], key=len)
-
-        v = select_vertex(node, cfg.strategy, cfg.seed)
-        s_plus, s_minus = split(node, v)
-        stats.generated[s_plus.depth] += 2
-        stack += (s_minus, s_plus)
-
+    size, best = ub_greedy_clique(g) if dispatch else ub_local_search(g, node_key(cfg.seed, 1))
+    best = _search(Subproblem.root(g), cfg, cfg.leaf_size, size, best, leaf, stats)
     preprocessing = time.perf_counter() - t_start - stats.leaf_seconds
     return best, stats, preprocessing, leaves
 

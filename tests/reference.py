@@ -2,7 +2,9 @@
 
 ``brute_force_oracle`` is the optimum every solver test compares with,
 ``half_integral_lp_optimum`` the cover LP's optimum the LP bound is checked
-against, and ``residual_graph`` is a subproblem rebuilt as a standalone
+against, ``scan_bounded_exact_leaf_solve`` a hand-written exact search the
+solver's own leaf search is checked against on graphs too large for the
+oracle, and ``residual_graph`` is a subproblem rebuilt as a standalone
 ``Graph``, the view that the mask-reading code (``serialize_graph``,
 ``build_mvc_qubo``, ``decode_cover``, the bounds) must agree with. None of
 it runs inside ``solve`` or ``decompose``. So that the oracle can vouch for
@@ -15,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from vertexcover.graphs import Graph
+from vertexcover.graphs import Graph, bits
 
 ORACLE_CAP = 24
 LP_CAP = 9
@@ -115,3 +117,78 @@ def half_integral_lp_optimum(g: Graph) -> float:
         if sum(y) < best and all(y[u] + y[v] >= 2 for u, v in edges):
             best = sum(y)
     return best / 2
+
+
+def greedy_clique_partition_bound(masks, alive: int) -> int:
+    """Alive vertices less the cliques of a greedy clique partition.
+
+    Each unused vertex, in ascending id order, starts a clique that takes,
+    in ascending id order, every unused vertex adjacent to all its members.
+    A cover holds all but at most one vertex of each clique.
+    """
+    bound = 0
+    while alive:
+        low = alive & -alive
+        alive ^= low
+        candidates = masks[low.bit_length() - 1] & alive
+        while candidates:
+            low = candidates & -candidates
+            alive ^= low
+            candidates &= masks[low.bit_length() - 1]
+            bound += 1
+    return bound
+
+
+def scan_bounded_exact_leaf_solve(g, limit=None):
+    """Exact minimum cover of a Graph or a Subproblem, in ids of what it was
+    given; with a ``limit``, ``None`` when no cover is smaller than it.
+
+    Branches at the lowest-id vertex of highest degree, its closed
+    neighbourhood out first. Pendant vertices are resolved without
+    branching, and each branch that survives them is bounded by
+    ``greedy_clique_partition_bound``. The search starts from the cover
+    outside a greedy maximal independent set, taken in ascending (degree, id)
+    order, or from ``limit`` when that is no larger.
+    """
+    if limit is not None and limit <= 0:
+        return None
+    if g.n == 0:
+        return set()
+    masks = g.adjacency_masks
+    independent = 0
+    for v in sorted(bits(g.alive), key=g.degrees.__getitem__):
+        if not independent & masks[v]:
+            independent |= 1 << v
+    best_cover = bits(g.alive & ~independent)
+    best_size = len(best_cover)
+    if limit is not None and limit <= best_size:
+        best_size, best_cover = limit, None
+    stack = [(g.alive, 0)]  # (alive vertices, chosen cover vertices)
+    while stack:
+        alive, chosen = stack.pop()
+        count = chosen.bit_count()
+        while count < best_size:
+            max_deg, branch, pendant = 0, -1, -1
+            for v in bits(alive):
+                d = (masks[v] & alive).bit_count()
+                if d == 1 and pendant < 0:
+                    pendant = v
+                if d > max_deg:
+                    max_deg, branch = d, v
+            if pendant < 0:
+                break
+            nb = masks[pendant] & alive
+            chosen |= nb
+            count += 1
+            alive &= ~(nb | (1 << pendant))
+        if count >= best_size:
+            continue
+        if branch < 0:
+            best_size, best_cover = count, bits(chosen)
+            continue
+        if count + greedy_clique_partition_bound(masks, alive) >= best_size:
+            continue
+        nbrs = masks[branch] & alive
+        stack.append((alive & ~(1 << branch), chosen | (1 << branch)))
+        stack.append((alive & ~(nbrs | (1 << branch)), chosen | nbrs))
+    return None if best_cover is None else set(best_cover)

@@ -7,7 +7,6 @@ from vertexcover import SolveConfig, is_vertex_cover, random_graph
 from vertexcover.bounds import (
     LOWER_METHODS,
     combine_bounds,
-    greedy_clique_partition_bound,
     lb_coloring,
     lb_lp,
     lb_spectral,
@@ -16,7 +15,7 @@ from vertexcover.bounds import (
 )
 from vertexcover.splitting import Subproblem
 
-from reference import brute_force_oracle, residual_graph
+from reference import residual_graph
 from conftest import complete_graph, cycle_graph, empty_graph, path_graph
 
 
@@ -128,16 +127,3 @@ def test_unknown_method_rejected():
         with pytest.raises(ValueError, match=name):
             SolveConfig(lower_bounds={name})
     assert SolveConfig(lower_bounds=["coloring"]).lower_bounds == frozenset({"coloring"})
-
-
-def test_greedy_clique_partition_bound_examples_and_safety():
-    def bound(g):
-        return greedy_clique_partition_bound(g.adjacency_masks, g.alive)
-
-    assert bound(empty_graph(5)) == 0
-    assert bound(complete_graph(6)) == 5
-    assert bound(path_graph(4)) == 2
-    assert 2 <= bound(cycle_graph(5)) <= 3
-    for seed in range(30):
-        g = random_graph(4 + seed % 12, 0.2 + 0.02 * seed, seed=seed)
-        assert bound(g) <= brute_force_oracle(g)

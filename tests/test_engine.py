@@ -22,7 +22,12 @@ from vertexcover.engine import exact_leaf_solve
 from vertexcover.qubo import build_mvc_qubo, solve_anneal
 from vertexcover.splitting import node_key
 
-from reference import brute_force_oracle, residual_graph
+from reference import (
+    brute_force_oracle,
+    greedy_clique_partition_bound,
+    residual_graph,
+    scan_bounded_exact_leaf_solve,
+)
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -30,7 +35,6 @@ from conftest import (
     path_graph,
     petersen_graph,
 )
-from test_properties import scan_bounded_exact_leaf_solve
 
 
 def test_solve_triangle_pruned_at_root():
@@ -118,6 +122,19 @@ def test_oracle_examples():
     assert brute_force_oracle(complete_graph(3)) == 2
     assert brute_force_oracle(petersen_graph()) == 6
     assert brute_force_oracle(empty_graph(5)) == 0
+
+
+def test_greedy_clique_partition_bound_examples_and_safety():
+    def bound(g):
+        return greedy_clique_partition_bound(g.adjacency_masks, g.alive)
+
+    assert bound(empty_graph(5)) == 0
+    assert bound(complete_graph(6)) == 5
+    assert bound(path_graph(4)) == 2
+    assert 2 <= bound(cycle_graph(5)) <= 3
+    for seed in range(30):
+        g = random_graph(4 + seed % 12, 0.2 + 0.02 * seed, seed=seed)
+        assert bound(g) <= brute_force_oracle(g)
 
 
 def test_oracle_cap():
@@ -341,6 +358,53 @@ def test_dense_leaf_graph_solves_as_with_the_scan_bounded_leaf_search(monkeypatc
     assert result.leaf_count == reference.leaf_count
     assert result.subproblems_generated == reference.subproblems_generated
     assert result.per_depth_stats == reference.per_depth_stats
+
+
+def counting(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls the engine makes to each of its module-level ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_each_node_is_reduced_once_and_each_exact_leaf_solved_once(monkeypatch):
+    """The exact leaf search runs the solver's loop, but reduces nothing and
+    takes no leaf of its own: ``reduce_chain`` runs once per generated node,
+    and ``exact_leaf_solve`` once per leaf, as traced benchmark runs check."""
+    g = random_graph(50, 0.3, seed=5)
+    cfg = SolveConfig(leaf_size=20, seed=5)
+    calls = counting(monkeypatch, "reduce_chain", "exact_leaf_solve", "split")
+    result = solve(g, cfg)
+    assert result.leaf_count > 2
+    assert calls["split"] > (result.subproblems_generated - 1) // 2  # leaf searches split too
+    assert calls["reduce_chain"] == result.subproblems_generated
+    assert calls["exact_leaf_solve"] == result.leaf_count
+    calls.update(dict.fromkeys(calls, 0))
+    dec = decompose_only(g, cfg)
+    assert calls["reduce_chain"] == dec.subproblems_generated
+    assert calls["exact_leaf_solve"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:exact cover search")
+def test_exact_leaf_solve_closes_edgeless_nodes(monkeypatch):
+    """An edgeless node offers its committed vertices as a cover, so both its
+    children are pruned: isolated vertices add no split to the search."""
+    dense = random_graph(20, 0.5, seed=1)
+    splits, sizes = [], set()
+    for k in (10, 40, 200):
+        calls = counting(monkeypatch, "split")
+        sizes.add(len(exact_leaf_solve(build_graph(20 + k, dense.edges()))))
+        splits.append(calls["split"])
+        monkeypatch.undo()
+    assert sizes == {len(exact_leaf_solve(dense))}
+    assert splits[0] > 0 and splits == [splits[0]] * 3, splits
 
 
 def gadget_plus_four_cycles(k: int):

@@ -20,7 +20,6 @@ from vertexcover import (
 from vertexcover.bounds import (
     LOWER_METHODS,
     combine_bounds,
-    greedy_clique_partition_bound,
     lb_coloring,
     lb_lp,
     ub_greedy_clique,
@@ -40,7 +39,13 @@ from vertexcover.qubo import (
 from vertexcover.reductions import REDUCTIONS, reduce_chain, reduce_dominance
 from vertexcover.splitting import SELECTION_KINDS, Subproblem
 
-from reference import LP_CAP, brute_force_oracle, half_integral_lp_optimum, residual_graph
+from reference import (
+    LP_CAP,
+    brute_force_oracle,
+    half_integral_lp_optimum,
+    residual_graph,
+    scan_bounded_exact_leaf_solve,
+)
 from conftest import reparse_by_file_label
 
 
@@ -149,48 +154,6 @@ def test_exact_leaf_solve_cutoff_matches_oracle(g, keep):
                 assert bounded == unbounded
 
 
-def scan_bounded_exact_leaf_solve(g, limit=None):
-    """Reference: the exact leaf search that bounds each branch only after its
-    degree scan and pendant loop, on every branch that survives them."""
-    if limit is not None and limit <= 0:
-        return None
-    if g.n == 0:
-        return set()
-    masks = g.adjacency_masks
-    best_size, best_cover = ub_greedy_clique(g)
-    if limit is not None and limit <= best_size:
-        best_size, best_cover = limit, None
-    stack = [(g.alive, 0)]
-    while stack:
-        alive, chosen = stack.pop()
-        count = chosen.bit_count()
-        while count < best_size:
-            max_deg, branch, pendant = 0, -1, -1
-            for v in bits(alive):
-                d = (masks[v] & alive).bit_count()
-                if d == 1 and pendant < 0:
-                    pendant = v
-                if d > max_deg:
-                    max_deg, branch = d, v
-            if pendant < 0:
-                break
-            nb = masks[pendant] & alive
-            chosen |= nb
-            count += 1
-            alive &= ~(nb | (1 << pendant))
-        if count >= best_size:
-            continue
-        if branch < 0:
-            best_size, best_cover = count, bits(chosen)
-            continue
-        if count + greedy_clique_partition_bound(masks, alive) >= best_size:
-            continue
-        nbrs = masks[branch] & alive
-        stack.append((alive & ~(1 << branch), chosen | (1 << branch)))
-        stack.append((alive & ~(nbrs | (1 << branch)), chosen | nbrs))
-    return None if best_cover is None else set(best_cover)
-
-
 FIVE_TRIANGLES = build_graph(15, [
     (3 * i + a, 3 * i + b) for i in range(5) for a, b in ((0, 1), (1, 2), (0, 2))
 ])
@@ -198,22 +161,30 @@ FIVE_TRIANGLES = build_graph(15, [
 
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=16), st.integers(0, 2**16 - 1))
-# pendant chains remove vertices between the entry bound and the re-bound
+# a path: every branch ends in pendant chains
 @example(build_graph(9, [(i, i + 1) for i in range(8)]), 0b111111011)
-# cover number 10: limits 10 and 11 (both in the loop) sit at the root bound
+# cover number 10: limits 10 and 11 sit at the root bound
 @example(FIVE_TRIANGLES, 2**15 - 1)
 @example(build_graph(7, [(0, v) for v in range(1, 7)]), 0b1111110)
-# the greedy-clique cover {2, 3, 4} is not optimal: the entry bound must pass {1, 2}
+# the greedy-clique cover {2, 3, 4} is not optimal
 @example(build_graph(5, [(0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]), 0)
 def test_exact_leaf_solve_matches_the_scan_bounded_search(g, keep):
-    """Bounding each branch as it leaves the stack returns exactly the cover, or
-    None, of bounding after the scan alone, with no limit and every limit in
-    0..n+1; on a graph and on a subproblem."""
+    """The solver's loop, run as a leaf search, returns a cover of the size the
+    hand-written reference search returns, or None where it does, with no
+    limit and every limit in 0..n+1; on a graph and on a subproblem. The
+    covers themselves may differ: the two break degree ties differently."""
     sub = Subproblem(base=g, alive=g.alive & keep)
     for instance in (g, sub):
+        ids = instance.vertices()
+        residual = residual_graph(Subproblem(base=g, alive=instance.alive))
         for limit in (None, *range(instance.n + 2)):
             expected = scan_bounded_exact_leaf_solve(instance, limit)
-            assert exact_leaf_solve(instance, limit) == expected, limit
+            got = exact_leaf_solve(instance, limit)
+            if expected is None:
+                assert got is None, limit
+            else:
+                assert got is not None and len(got) == len(expected), limit
+                assert is_vertex_cover(residual, {ids.index(v) for v in got}), limit
 
 
 def first_fit_classes(g) -> list[int]:

@@ -15,10 +15,10 @@ from vertexcover.engine import exact_leaf_solve
 g = random_graph(22, 0.3, seed=5)
 print("instance:", g, " optimum:", len(exact_leaf_solve(g)))
 
-for leaf_solver in ("exact", "qubo_exhaustive", "qubo_anneal"):
+for leaf_solver in ("exact", "qubo_anneal"):
     cfg = SolveConfig(leaf_size=8, leaf_solver=leaf_solver, seed=5)
     result = solve(g, cfg)
-    print(f"{leaf_solver:>16}: size {result.size}, {result.leaf_count} leaves, "
+    print(f"{leaf_solver:>11}: size {result.size}, {result.leaf_count} leaves, "
           f"{result.subproblems_generated} subproblems, "
           f"{result.subproblems_pruned} pruned")
 

@@ -2,10 +2,9 @@
 
 A graph is split at a chosen vertex into the two exhaustive cases (vertex
 in the cover, vertex out of the cover), recursively, until the residual
-pieces are small enough for a direct solver: a branch-and-bound search, an
-exhaustive QUBO sweep, or a simulated annealer standing in for quantum
-annealing hardware. Bounds prune hopeless subproblems and reductions shrink
-the rest along the way.
+pieces are small enough for a direct solver: a branch-and-bound search, or
+a simulated annealer standing in for quantum annealing hardware. Bounds
+prune hopeless subproblems and reductions shrink the rest along the way.
 
 This namespace holds what a library caller needs: ``solve`` and
 ``decompose_only`` with their configuration and results, and the graph

@@ -9,7 +9,7 @@ colouring bound is a clique partition tightened by unit propagation over
 its classes, as in MaxSAT-based clique search.
 
 Every bound takes a Graph or a Subproblem alike: it reads only
-``adjacency_masks``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
+``adjacency``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
 and ``n``, and any vertex ids it returns are those of what it was given. A
 subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
 itself, so no complement graph is built, and no bound builds a Graph.
@@ -56,7 +56,7 @@ def lb_lp(g, limit: int | None = None) -> int:
     need = 0 if limit is None else 2 * limit - 1  # matching size that reaches limit
     if need > g.n:
         return 0
-    masks, alive = g.adjacency_masks, g.alive
+    masks, alive = g.adjacency, g.alive
     left_of: dict[int, int] = {}  # matched right copy -> its left copy
     right_of: dict[int, int] = {}
     free = alive  # right copies without a mate
@@ -100,7 +100,7 @@ def lb_spectral(g) -> int:
 
     The adjacency matrix lists the alive vertices in ascending id order.
     """
-    masks, alive = g.adjacency_masks, g.alive
+    masks, alive = g.adjacency, g.alive
     index = {v: i for i, v in enumerate(g.vertices())}
     rows, cols = [], []
     for v, i in index.items():
@@ -187,7 +187,7 @@ def lb_coloring(g, limit: int | None = None) -> int:
     Either way the result reaches ``limit`` exactly when the full bound does,
     and then lies between the two; below it, it is at most the full bound.
     """
-    masks, degrees = g.adjacency_masks, g.degrees
+    masks, degrees = g.adjacency, g.degrees
     most = g.n if limit is None else g.n - limit  # classes of 2+ it can afford
     by_degree: dict[int, int] = {}
     for v in g.vertices():
@@ -229,7 +229,7 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     vertex cover. Vertices join in ascending (degree, id) order when they
     have no neighbour in the clique. Returns (cover size, cover).
     """
-    masks = g.adjacency_masks
+    masks = g.adjacency
     clique = 0  # bitmask
     for v in sorted(g.vertices(), key=g.degrees.__getitem__):
         if not clique & masks[v]:
@@ -265,7 +265,7 @@ def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
     force in a vertex drawn by ``random.Random(seed)`` and search again; a
     result no smaller is kept, and only a larger one replaces the best.
     """
-    masks, alive = g.adjacency_masks, g.alive
+    masks, alive = g.adjacency, g.alive
 
     def local_optimum(indep: int) -> int:
         while True:

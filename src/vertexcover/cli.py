@@ -80,7 +80,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--upper-bound", choices=sorted(_UPPER_CHOICES), default="none")
     p.add_argument("--reduction", choices=sorted(_REDUCTION_CHOICES), default="neighbor")
     p.add_argument("--leaf-solver",
-                   choices=["exact", "qubo-exhaustive", "qubo-anneal"], default="exact")
+                   choices=["exact", "qubo-anneal"], default="exact")
     p.add_argument("--leaf-size", type=_leaf_size, default=46, metavar="N",
                    help="max residual size handed to the leaf solver; "
                         "presets: 2x=46, 2000q=65, pegasus=180")
@@ -157,11 +157,7 @@ def _load_graph(args: argparse.Namespace):
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     g = _load_graph(args)
-    try:
-        result = solve(g, cfg)
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    result = solve(g, cfg)
     report = {
         "input": args.input,
         "n": g.n,

@@ -53,7 +53,7 @@ from .bounds import (
     ub_local_search,
 )
 from .graphs import Graph
-from .qubo import build_mvc_qubo, decode_cover, solve_anneal, solve_exhaustive
+from .qubo import build_mvc_qubo, decode_cover, solve_anneal
 from .reductions import REDUCTIONS, reduce_chain
 from .splitting import SELECTION_KINDS, Subproblem, node_key, select_vertex, split
 
@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 LEAF_SIZE_PRESETS = {"2x": 46, "2000q": 65, "pegasus": 180}
-LEAF_SOLVERS = ("exact", "qubo_exhaustive", "qubo_anneal")
+LEAF_SOLVERS = ("exact", "qubo_anneal")
 EXACT_LEAF_COMFORT_CAP = 64
 
 
@@ -278,16 +278,6 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
     return None if best is None else set(best)
 
 
-def _qubo_leaf_cover(node: Subproblem, cfg: SolveConfig) -> set[int]:
-    q = build_mvc_qubo(node)
-    if cfg.leaf_solver == "qubo_exhaustive":
-        assignment, _ = solve_exhaustive(q)
-    else:
-        seed = node_key(cfg.seed, node.path)
-        assignment, _ = solve_anneal(q, cfg.anneal_reads, cfg.anneal_sweeps, seed)
-    return decode_cover(node, assignment)
-
-
 def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, best_size: int, stats: _Stats):
     """Solve one leaf, returning its cover with the committed vertices, or ``None``
     where the exact solver finds none smaller than ``best_size``; only the leaf
@@ -297,7 +287,10 @@ def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, best_size: int, stats: _S
         if cfg.leaf_solver == "exact":
             cover = exact_leaf_solve(node, best_size - len(node.committed))
         else:
-            cover = _qubo_leaf_cover(node, cfg)
+            seed = node_key(cfg.seed, node.path)
+            q = build_mvc_qubo(node)
+            assignment, _ = solve_anneal(q, cfg.anneal_reads, cfg.anneal_sweeps, seed)
+            cover = decode_cover(node, assignment)
     except Exception as exc:
         raise EngineError(
             f"leaf solver {cfg.leaf_solver!r} failed on subproblem "

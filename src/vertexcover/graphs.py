@@ -43,11 +43,11 @@ class GraphParseError(ValueError):
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
-    Adjacency is a tuple of frozensets, one per vertex. Instances are safe
-    to share across threads.
+    Adjacency is a tuple of neighbour bitmasks, one per vertex: bit u of
+    ``adjacency[v]`` is set when u and v are adjacent.
     """
 
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -55,18 +55,11 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+        return tuple(mask.bit_count() for mask in self.adjacency)
 
     @cached_property
     def m(self) -> int:
         return sum(self.degrees) // 2
-
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks, for hot loops."""
-        return tuple(
-            sum(1 << u for u in nbrs) for nbrs in self.adjacency
-        )
 
     @property
     def alive(self) -> int:
@@ -78,10 +71,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in sorted(self.adjacency[u]):
-                if u < v:
-                    yield (u, v)
+        for u, mask in enumerate(self.adjacency):
+            for v in bits(mask >> u + 1 << u + 1):
+                yield (u, v)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -89,15 +81,15 @@ class Graph:
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Construct a Graph, dropping self-loops and collapsing duplicates."""
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
         if u == v:
             continue
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(tuple(frozenset(s) for s in adj))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(tuple(adj))
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -115,7 +107,7 @@ def position_edges(g) -> list[tuple[int, int]]:
     Read from the masks alone, in lexicographic order: a subproblem's edges
     are those of its residual graph renumbered to 0..n-1.
     """
-    masks, alive, ids = g.adjacency_masks, g.alive, g.vertices()
+    masks, alive, ids = g.adjacency, g.alive, g.vertices()
     index = {v: i for i, v in enumerate(ids)}
     edges = []
     for i, v in enumerate(ids):
@@ -297,7 +289,7 @@ def _parse_matrix_market(text: str) -> Graph:
 def serialize_graph(g, format: str = "dimacs") -> str:
     """Emit graph text that parses back to the same graph.
 
-    ``g`` is a Graph or a Subproblem alike: only ``adjacency_masks``, the
+    ``g`` is a Graph or a Subproblem alike: only ``adjacency``, the
     ``alive`` mask, ``vertices()`` and ``n`` are read. The text numbers the
     vertices 0..n-1 in ascending id order, so a subproblem's vertex i is
     ``vertices()[i]`` and its text is that of its residual graph renumbered
@@ -317,7 +309,7 @@ def serialize_graph(g, format: str = "dimacs") -> str:
     elif format == "edge_list":
         # A self-loop line registers a vertex and is dropped by the parser,
         # which is how isolated vertices survive the round trip.
-        masks, alive = g.adjacency_masks, g.alive
+        masks, alive = g.adjacency, g.alive
         lines = [f"{u} {v}" for u, v in edges]
         lines.extend(f"{i} {i}" for i, v in enumerate(g.vertices()) if not masks[v] & alive)
     else:

@@ -25,15 +25,12 @@ __all__ = [
     "Qubo",
     "build_mvc_qubo",
     "evaluate",
-    "solve_exhaustive",
     "solve_anneal",
     "decode_cover",
     "export_qubo",
     "parse_qubo",
-    "EXHAUSTIVE_CAP",
 ]
 
-EXHAUSTIVE_CAP = 30
 ANNEAL_T_END = 1e-3
 
 
@@ -89,42 +86,6 @@ def evaluate(q: Qubo, x: Sequence[int]) -> float:
         if x[i] and x[j]:
             total += coeff
     return total
-
-
-def _energies_for_block(q: Qubo, indices: np.ndarray) -> np.ndarray:
-    bits = ((indices[:, None] >> np.arange(q.n)) & 1).astype(np.float64)
-    energies = bits @ np.asarray(q.linear) + q.offset
-    for (i, j), coeff in q.quadratic.items():
-        energies += coeff * bits[:, i] * bits[:, j]
-    return energies
-
-
-def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
-    """Global minimum by sweeping all 2^n assignments.
-
-    Ties go to the assignment with the lowest binary value (variable i is
-    bit i). Refuses instances above ``EXHAUSTIVE_CAP`` variables.
-    """
-    if q.n > EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"{q.n} variables exceeds the exhaustive cap of {EXHAUSTIVE_CAP}; "
-            "use solve_anneal for larger instances"
-        )
-    if q.n == 0:
-        return np.zeros(0, dtype=np.uint8), float(q.offset)
-    best_energy = np.inf
-    best_index = 0
-    block = 1 << 20
-    for start in range(0, 1 << q.n, block):
-        stop = min(start + block, 1 << q.n)
-        indices = np.arange(start, stop, dtype=np.int64)
-        energies = _energies_for_block(q, indices)
-        k = int(np.argmin(energies))
-        if energies[k] < best_energy:
-            best_energy = float(energies[k])
-            best_index = start + k
-    assignment = ((best_index >> np.arange(q.n)) & 1).astype(np.uint8)
-    return assignment, best_energy
 
 
 def color_classes(q: Qubo) -> list[list[int]]:
@@ -231,7 +192,7 @@ def decode_cover(g, x: Sequence[int]) -> set[int]:
     """
     if len(x) != g.n:
         raise ValueError(f"assignment length {len(x)} != vertex count {g.n}")
-    masks, alive, ids, degrees = g.adjacency_masks, g.alive, g.vertices(), g.degrees
+    masks, alive, ids, degrees = g.adjacency, g.alive, g.vertices(), g.degrees
     cover = sum(1 << v for i, v in enumerate(ids) if x[i])
     # edges u < v in the QUBO's key order; only u joining covers another listed v
     for u in ids:
@@ -259,8 +220,23 @@ def export_qubo(q: Qubo) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(field: str, cast, lineno: int):
+    """``cast(field)``, refused with the line number when malformed or not finite."""
+    try:
+        value = cast(field)
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed number {field!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: non-finite value {field!r}")
+    return value
+
+
 def parse_qubo(text: str) -> Qubo:
-    """Parse the export_qubo text format."""
+    """Parse the export_qubo text format.
+
+    A malformed line, a second header or a non-finite number raises
+    ``ValueError`` naming its line.
+    """
     offset = 0.0
     penalty_a = 2.0
     size_b = 1.0
@@ -274,22 +250,27 @@ def parse_qubo(text: str) -> Qubo:
         fields = line.split()
         if fields[0] == "c":
             if len(fields) >= 3 and fields[1] == "offset":
-                offset = float(fields[2])
+                offset = _number(fields[2], float, lineno)
             elif len(fields) >= 5 and fields[1] == "A" and fields[3] == "B":
-                penalty_a = float(fields[2])
-                size_b = float(fields[4])
+                penalty_a = _number(fields[2], float, lineno)
+                size_b = _number(fields[4], float, lineno)
             continue
         if fields[0] == "p":
+            if n is not None:
+                raise ValueError(f"line {lineno}: second qubo header")
             if len(fields) != 6 or fields[1] != "qubo":
                 raise ValueError(f"line {lineno}: malformed qubo header {line!r}")
-            n = int(fields[3])
+            _, n, _, _ = (_number(f, int, lineno) for f in fields[2:])
+            if n < 0:
+                raise ValueError(f"line {lineno}: negative variable count")
             linear = [0.0] * n
             continue
         if n is None:
             raise ValueError(f"line {lineno}: term before qubo header")
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: malformed term {line!r}")
-        i, j, coeff = int(fields[0]), int(fields[1]), float(fields[2])
+        i, j = _number(fields[0], int, lineno), _number(fields[1], int, lineno)
+        coeff = _number(fields[2], float, lineno)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"line {lineno}: index out of range 0..{n - 1}")
         if i == j:

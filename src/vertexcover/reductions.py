@@ -52,7 +52,7 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
     Degrees are counted once, then kept up to date (only the alive neighbours
     of a deleted vertex change), and handed on as the result's ``degrees``.
     """
-    masks = s.adjacency_masks
+    masks = s.adjacency
     degrees: dict[int, int] = {}
     small = [0, 0, 0]  # masks of the alive vertices of degree 0, 1 and 2
     committed: set[int] = set()
@@ -105,7 +105,7 @@ def reduce_dominance(s: Subproblem) -> ReductionOutcome:
     u for v still covers everything u covered, so some optimal cover
     contains v.
     """
-    masks = s.adjacency_masks
+    masks = s.adjacency
     alive = s.alive
     committed: set[int] = set()
     while True:

@@ -54,8 +54,8 @@ class Subproblem:
         return cls(base=g, alive=g.alive)
 
     @property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        return self.base.adjacency_masks
+    def adjacency(self) -> tuple[int, ...]:
+        return self.base.adjacency
 
     @property
     def depth(self) -> int:
@@ -71,7 +71,7 @@ class Subproblem:
     @cached_property
     def degrees(self) -> dict[int, int]:
         """Residual degree per alive vertex, in ascending id order."""
-        masks, alive = self.base.adjacency_masks, self.alive
+        masks, alive = self.base.adjacency, self.alive
         return {v: (masks[v] & alive).bit_count() for v in self.vertices()}
 
     def keep_degrees(self, degrees: dict[int, int]) -> None:
@@ -126,7 +126,7 @@ def split(s: Subproblem, v: int) -> tuple[Subproblem, Subproblem]:
     if v < 0 or not (s.alive >> v) & 1:
         raise ValueError(f"vertex {v} not in the residual graph")
     vbit = 1 << v
-    neighbors = s.base.adjacency_masks[v] & s.alive
+    neighbors = s.base.adjacency[v] & s.alive
     s_plus = Subproblem(s.base, s.alive & ~vbit, s.committed | {v}, 2 * s.path)
     s_minus = Subproblem(
         s.base,

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from vertexcover import Graph, build_graph, parse_graph, random_graph
+from vertexcover.graphs import bits
 
 from reference import brute_force_oracle
 
@@ -55,8 +56,8 @@ def keller_benchmark_graph(order: int = 4) -> Graph:
     return build_graph(len(verts), edges)
 
 
-def reparse_by_file_label(text: str, format: str) -> tuple[frozenset[int], ...]:
-    """Parse graph text and return its adjacency under the ids the file names.
+def reparse_by_file_label(text: str, format: str) -> tuple[int, ...]:
+    """Parse graph text and return its adjacency masks under the ids the file names.
 
     DIMACS and Matrix Market ids parse to themselves less one. An edge list's
     labels are the ids themselves, which the parser renumbers in order of
@@ -67,9 +68,9 @@ def reparse_by_file_label(text: str, format: str) -> tuple[frozenset[int], ...]:
         return g.adjacency
     labels = list(dict.fromkeys(int(token) for token in text.split()))
     assert sorted(labels) == list(range(g.n))
-    adjacency = [frozenset()] * g.n
+    adjacency = [0] * g.n
     for i, label in enumerate(labels):
-        adjacency[label] = frozenset(labels[j] for j in g.adjacency[i])
+        adjacency[label] = sum(1 << labels[j] for j in bits(g.adjacency[i]))
     return tuple(adjacency)
 
 

@@ -6,10 +6,12 @@ against, ``scan_bounded_exact_leaf_solve`` a hand-written exact search the
 solver's own leaf search is checked against on graphs too large for the
 oracle, and ``residual_graph`` is a subproblem rebuilt as a standalone
 ``Graph``, the view that the mask-reading code (``serialize_graph``,
-``build_mvc_qubo``, ``decode_cover``, the bounds) must agree with. None of
-it runs inside ``solve`` or ``decompose``. So that the oracle can vouch for
-the solver, this module imports nothing from ``vertexcover`` but
-``vertexcover.graphs``.
+``build_mvc_qubo``, ``decode_cover``, the bounds) must agree with.
+``solve_exhaustive`` is a QUBO's ground state by a sweep of every
+assignment, the reference the annealer and the QUBO leaf path are checked
+against. None of it runs inside ``solve`` or ``decompose``. So that the
+oracle can vouch for the solver, this module imports nothing from
+``vertexcover`` but ``vertexcover.graphs``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
+import numpy as np
+
 from vertexcover.graphs import Graph, bits
 
 ORACLE_CAP = 24
 LP_CAP = 9
+EXHAUSTIVE_CAP = 30
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
@@ -30,11 +35,10 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} not in graph of size {g.n}")
     index = {orig: new for new, orig in enumerate(kept)}
-    adj = tuple(
-        frozenset(index[u] for u in g.adjacency[orig] if u in index)
+    return Graph(tuple(
+        sum(1 << index[u] for u in bits(g.adjacency[orig]) if u in index)
         for orig in kept
-    )
-    return Graph(adj)
+    ))
 
 
 def residual_graph(s) -> Graph:
@@ -59,7 +63,7 @@ def brute_force_oracle(g: Graph) -> int:
         raise ValueError(f"oracle capped at {ORACLE_CAP} vertices, got {n}")
     if g.m == 0:
         return 0
-    masks = g.adjacency_masks
+    masks = g.adjacency
     full = (1 << n) - 1
 
     matching = 0
@@ -119,6 +123,42 @@ def half_integral_lp_optimum(g: Graph) -> float:
     return best / 2
 
 
+def _energies_for_block(q: Qubo, indices: np.ndarray) -> np.ndarray:
+    bits = ((indices[:, None] >> np.arange(q.n)) & 1).astype(np.float64)
+    energies = bits @ np.asarray(q.linear) + q.offset
+    for (i, j), coeff in q.quadratic.items():
+        energies += coeff * bits[:, i] * bits[:, j]
+    return energies
+
+
+def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
+    """Global minimum by sweeping all 2^n assignments.
+
+    Ties go to the assignment with the lowest binary value (variable i is
+    bit i). Refuses instances above ``EXHAUSTIVE_CAP`` variables.
+    """
+    if q.n > EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"{q.n} variables exceeds the exhaustive cap of {EXHAUSTIVE_CAP}; "
+            "use solve_anneal for larger instances"
+        )
+    if q.n == 0:
+        return np.zeros(0, dtype=np.uint8), float(q.offset)
+    best_energy = np.inf
+    best_index = 0
+    block = 1 << 20
+    for start in range(0, 1 << q.n, block):
+        stop = min(start + block, 1 << q.n)
+        indices = np.arange(start, stop, dtype=np.int64)
+        energies = _energies_for_block(q, indices)
+        k = int(np.argmin(energies))
+        if energies[k] < best_energy:
+            best_energy = float(energies[k])
+            best_index = start + k
+    assignment = ((best_index >> np.arange(q.n)) & 1).astype(np.uint8)
+    return assignment, best_energy
+
+
 def greedy_clique_partition_bound(masks, alive: int) -> int:
     """Alive vertices less the cliques of a greedy clique partition.
 
@@ -154,7 +194,7 @@ def scan_bounded_exact_leaf_solve(g, limit=None):
         return None
     if g.n == 0:
         return set()
-    masks = g.adjacency_masks
+    masks = g.adjacency
     independent = 0
     for v in sorted(bits(g.alive), key=g.degrees.__getitem__):
         if not independent & masks[v]:

@@ -16,6 +16,7 @@ from vertexcover import (
     random_graph,
     solve,
 )
+from vertexcover import engine
 from vertexcover.bounds import (
     LOWER_METHODS,
     lb_coloring,
@@ -23,17 +24,16 @@ from vertexcover.bounds import (
     lb_spectral,
     ub_greedy_clique,
 )
-from vertexcover.qubo import build_mvc_qubo, decode_cover, solve_exhaustive
+from vertexcover.qubo import build_mvc_qubo, decode_cover
 from vertexcover.reductions import reduce_chain
 from vertexcover.splitting import Subproblem, split
 
-from reference import brute_force_oracle, residual_graph
+from reference import brute_force_oracle, residual_graph, solve_exhaustive
 from conftest import keller_benchmark_graph
 
 STRATEGIES = ("lowest_degree", "highest_degree", "median_degree", "random")
 REDUCTION_CHAINS = ((), ("neighbor",), ("dominance",), ("neighbor", "dominance"))
 LEAF_SIZES = (4, 8, 16)
-LEAF_SOLVERS = ("exact", "qubo_exhaustive")
 
 
 def bound_configurations():
@@ -46,37 +46,53 @@ def bound_configurations():
     return configs
 
 
-def test_criterion_1_oracle_exactness(corpus_n24):
-    """Every strategy, bound configuration, reduction chain, leaf size, and
-    exact-style leaf solver reproduces the brute-force optimum."""
+def solve_every_combination(corpus, leaf_solver):
+    """Solve once per strategy, bound configuration, reduction chain and leaf
+    size, spread deterministically over the corpus, each against the oracle;
+    returns the number of combinations."""
     combos = list(itertools.product(
-        STRATEGIES, bound_configurations(), REDUCTION_CHAINS, LEAF_SIZES, LEAF_SOLVERS
+        STRATEGIES, bound_configurations(), REDUCTION_CHAINS, LEAF_SIZES
     ))
-    runs = 0
-    # every combination runs once, spread deterministically over the corpus;
-    # the default configuration additionally runs on every graph
-    for i, (strategy, (lower, clique), chain, leaf_size, solver) in enumerate(combos):
-        g, oracle = corpus_n24[i % len(corpus_n24)]
+    for i, (strategy, (lower, clique), chain, leaf_size) in enumerate(combos):
+        g, oracle = corpus[i % len(corpus)]
         cfg = SolveConfig(
             leaf_size=leaf_size,
             strategy=strategy,
             lower_bounds=lower,
             clique_upper_bound=clique,
             reductions=chain,
-            leaf_solver=solver,
+            leaf_solver=leaf_solver,
             seed=i,
         )
         result = solve(g, cfg)
-        runs += 1
-        assert result.size == oracle, (i, strategy, chain, leaf_size, solver)
+        assert result.size == oracle, (i, strategy, chain, leaf_size, leaf_solver)
         assert is_vertex_cover(g, result.cover)
+    return len(combos)
+
+
+def test_criterion_1_oracle_exactness(corpus_n24):
+    """Every strategy, bound configuration, reduction chain and leaf size
+    reproduces the brute-force optimum with the exact leaf solver."""
+    combos = solve_every_combination(corpus_n24, "exact")
+    runs = combos
+    # the default configuration additionally runs on every graph
     for i, (g, oracle) in enumerate(corpus_n24):
         result = solve(g, SolveConfig(leaf_size=16, seed=i))
         runs += 1
         assert result.size == oracle
         assert is_vertex_cover(g, result.cover)
-    print(f"\nCRITERION 1 PASS: {runs} solves over {len(combos)} configurations "
+    print(f"\nCRITERION 1 PASS: {runs} solves over {combos} configurations "
           f"x {len(corpus_n24)} graphs all match the oracle exactly")
+
+
+def test_criterion_1_qubo_leaf_path_exactness(corpus_n24, monkeypatch):
+    """With the annealer swapped for the reference ground-state sweep, the
+    QUBO leaf path (build, solve, decode) reproduces the brute-force optimum
+    in every combination."""
+    monkeypatch.setattr(engine, "solve_anneal", lambda q, *args: solve_exhaustive(q))
+    combos = solve_every_combination(corpus_n24, "qubo_anneal")
+    print(f"\nCRITERION 1 PASS: {combos} solves through ground-state QUBO leaves "
+          f"all match the oracle exactly")
 
 
 def test_criterion_2_qubo_equivalence(corpus_n16):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -162,16 +163,33 @@ def test_negative_seed_exit_2_before_any_graph(tmp_path, capsys, monkeypatch, co
     assert not (tmp_path / "out").exists()
 
 
-def test_solver_abort_exit_3(tmp_path, capsys):
-    from vertexcover import random_graph
+def test_solver_abort_exit_3(tmp_path, capsys, monkeypatch):
+    from vertexcover import engine, random_graph
 
+    def fail(*args):
+        raise ValueError("annealer offline")
+
+    monkeypatch.setattr(engine, "solve_anneal", fail)
     path = tmp_path / "big.dimacs"
     path.write_text(serialize_graph(random_graph(40, 0.2, seed=1), "dimacs"))
-    code, _, err = run_cli(capsys, [
-        "solve", str(path), "--leaf-solver", "qubo-exhaustive", "--leaf-size", "46",
+    code, out, err = run_cli(capsys, [
+        "solve", str(path), "--leaf-solver", "qubo-anneal", "--leaf-size", "46",
     ])
     assert code == 3
-    assert "leaf solver" in err
+    assert out == ""
+    assert re.fullmatch(r"error: leaf solver 'qubo_anneal' failed on subproblem "
+                        r"\(path=0b[01]+, n=[1-9]\d*\): annealer offline\n", err)
+
+
+def test_unknown_leaf_solver_exit_2(tmp_path, capsys):
+    path = tmp_path / "k3.dimacs"
+    path.write_text(K3_DIMACS)
+    with pytest.raises(SystemExit) as err:
+        main(["solve", str(path), "--leaf-solver", "qubo-exhaustive"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "invalid choice: 'qubo-exhaustive'" in out.err
 
 
 def test_solve_json_deterministic_modulo_timing(tmp_path, capsys):

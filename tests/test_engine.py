@@ -64,7 +64,7 @@ def test_solve_five_cycle_is_proved_at_the_root_by_default():
     assert is_vertex_cover(cycle_graph(5), result.cover)
 
 
-@pytest.mark.parametrize("solver", ["qubo_exhaustive", "qubo_anneal"])
+@pytest.mark.parametrize("solver", ["qubo_anneal"])
 def test_qubo_leaf_is_bounded_first(solver):
     # as with exact leaves, the bound proves the greedy-clique cover optimal at the root
     result = solve(complete_graph(3), SolveConfig(leaf_size=46, leaf_solver=solver))
@@ -73,7 +73,7 @@ def test_qubo_leaf_is_bounded_first(solver):
     assert result.subproblems_pruned == 1
 
 
-@pytest.mark.parametrize("solver", ["qubo_exhaustive", "qubo_anneal"])
+@pytest.mark.parametrize("solver", ["qubo_anneal"])
 def test_qubo_leaves_build_no_graph(solver, monkeypatch):
     # a QUBO leaf is built and decoded from the subproblem's masks
     def refuse(*args):
@@ -126,7 +126,7 @@ def test_oracle_examples():
 
 def test_greedy_clique_partition_bound_examples_and_safety():
     def bound(g):
-        return greedy_clique_partition_bound(g.adjacency_masks, g.alive)
+        return greedy_clique_partition_bound(g.adjacency, g.alive)
 
     assert bound(empty_graph(5)) == 0
     assert bound(complete_graph(6)) == 5
@@ -169,14 +169,10 @@ def test_solve_matches_oracle_across_configs():
 def test_qubo_leaf_solvers_match_oracle():
     for seed in range(8):
         g = random_graph(14, 0.35, seed=200 + seed)
-        oracle = brute_force_oracle(g)
-        for solver in ("qubo_exhaustive", "qubo_anneal"):
-            cfg = SolveConfig(leaf_size=8, leaf_solver=solver, seed=seed)
-            result = solve(g, cfg)
-            assert is_vertex_cover(g, result.cover)
-            assert result.size >= oracle
-            if solver == "qubo_exhaustive":
-                assert result.size == oracle
+        cfg = SolveConfig(leaf_size=8, leaf_solver="qubo_anneal", seed=seed)
+        result = solve(g, cfg)
+        assert is_vertex_cover(g, result.cover)
+        assert result.size >= brute_force_oracle(g)
 
 
 def test_metric_identity_exact():
@@ -218,10 +214,16 @@ def test_pruning_preserves_optimum():
         assert bare.size == tuned.size
 
 
-def test_leaf_solver_failure_aborts_with_diagnostic():
+def test_leaf_solver_failure_aborts_with_diagnostic(monkeypatch):
+    def fail(*args):
+        raise ValueError("annealer offline")
+
+    monkeypatch.setattr(engine, "solve_anneal", fail)
     g = random_graph(40, 0.2, seed=1)
-    cfg = SolveConfig(leaf_size=46, leaf_solver="qubo_exhaustive", seed=1)
-    with pytest.raises(EngineError, match="qubo_exhaustive"):
+    cfg = SolveConfig(leaf_size=46, leaf_solver="qubo_anneal", seed=1)
+    diagnostic = (r"leaf solver 'qubo_anneal' failed on subproblem "
+                  r"\(path=0b[01]+, n=[1-9]\d*\): annealer offline")
+    with pytest.raises(EngineError, match=diagnostic):
         solve(g, cfg)
 
 
@@ -302,6 +304,8 @@ def test_config_validation():
         SolveConfig(leaf_size=0)
     with pytest.raises(ValueError):
         SolveConfig(leaf_solver="annealer")
+    with pytest.raises(ValueError):
+        SolveConfig(leaf_solver="qubo_exhaustive")
     with pytest.raises(ValueError):
         SolveConfig(reductions=("qpbo",))
 

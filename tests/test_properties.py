@@ -34,7 +34,6 @@ from vertexcover.qubo import (
     decode_cover,
     evaluate,
     solve_anneal,
-    solve_exhaustive,
 )
 from vertexcover.reductions import REDUCTIONS, reduce_chain, reduce_dominance
 from vertexcover.splitting import SELECTION_KINDS, Subproblem
@@ -45,6 +44,7 @@ from reference import (
     half_integral_lp_optimum,
     residual_graph,
     scan_bounded_exact_leaf_solve,
+    solve_exhaustive,
 )
 from conftest import reparse_by_file_label
 
@@ -64,7 +64,6 @@ configs = st.builds(
     lower_bounds=st.frozensets(st.sampled_from(LOWER_METHODS)),
     clique_upper_bound=st.booleans(),
     reductions=st.lists(st.sampled_from(("neighbor", "dominance")), unique=True).map(tuple),
-    leaf_solver=st.sampled_from(("exact", "qubo_exhaustive")),
     seed=st.integers(0, 1000),
 )
 
@@ -79,11 +78,11 @@ def test_solve_matches_oracle(g, cfg):
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs(max_n=12), configs, st.sampled_from(("qubo_exhaustive", "qubo_anneal")))
-def test_bounds_never_change_a_qubo_solve_cover(g, cfg, solver):
+@given(graphs(max_n=12), configs)
+def test_bounds_never_change_a_qubo_solve_cover(g, cfg):
     """A QUBO leaf the bound prunes cannot beat the incumbent, and the annealer is
     seeded by the leaf's path, so the bounds move only the leaf and pruned counts."""
-    cfg = replace(cfg, leaf_solver=solver, anneal_reads=4, anneal_sweeps=10)
+    cfg = replace(cfg, leaf_solver="qubo_anneal", anneal_reads=4, anneal_sweeps=10)
     bounded = solve(g, cfg)
     unbounded = solve(g, replace(cfg, lower_bounds=frozenset()))
     assert bounded.cover == unbounded.cover
@@ -190,7 +189,7 @@ def test_exact_leaf_solve_matches_the_scan_bounded_search(g, keep):
 def first_fit_classes(g) -> list[int]:
     """Reference colouring of the complement: each vertex, in ascending (degree,
     id) order, joins the first class whose members are all its neighbours."""
-    masks = g.adjacency_masks
+    masks = g.adjacency
     classes: list[int] = []
     for v in sorted(g.vertices(), key=g.degrees.__getitem__):
         for i, members in enumerate(classes):
@@ -261,7 +260,7 @@ def test_lb_lp_limit_decides_like_the_full_bound(g, keep):
 
 def recount_reduce_neighbor(s):
     """Reference: the same rules with every degree recounted on each pass."""
-    masks, alive, committed = s.adjacency_masks, s.alive, set()
+    masks, alive, committed = s.adjacency, s.alive, set()
     while True:
         degree = {v: (masks[v] & alive).bit_count() for v in bits(alive)}
         isolated = sum(1 << v for v, d in degree.items() if d == 0)
@@ -321,7 +320,7 @@ def test_reduce_chain_hands_on_fresh_degrees_and_matches_a_recount(g, keep):
         for chain in CHAINS:
             out = reduce_chain(s, chain)
             reduced = out.reduced
-            masks, alive = reduced.adjacency_masks, reduced.alive
+            masks, alive = reduced.adjacency, reduced.alive
             fresh = {v: (masks[v] & alive).bit_count() for v in reduced.vertices()}
             assert list(reduced.degrees.items()) == list(fresh.items()), chain
             again = reduce_chain(reduced, chain)
@@ -396,7 +395,7 @@ def test_qubo_of_subproblem_is_its_graphs(g, keep, assignment):
 
 def position_edges_decode_cover(g, x):
     """``decode_cover`` as it read the edges from ``position_edges``: the reference."""
-    masks, alive, ids, degrees = g.adjacency_masks, g.alive, g.vertices(), g.degrees
+    masks, alive, ids, degrees = g.adjacency, g.alive, g.vertices(), g.degrees
     cover = sum(1 << v for i, v in enumerate(ids) if x[i])
     for i, j in position_edges(g):
         u, v = ids[i], ids[j]

@@ -15,7 +15,9 @@ PUBLIC = {
     "Graph", "GraphParseError", "FORMATS", "build_graph", "parse_graph",
     "serialize_graph", "random_graph", "random_graph_avg_degree",
 }
-REFERENCE_ONLY = {"brute_force_oracle", "induced_subgraph", "ORACLE_CAP"}
+REFERENCE_ONLY = {
+    "brute_force_oracle", "induced_subgraph", "ORACLE_CAP", "solve_exhaustive", "EXHAUSTIVE_CAP",
+}
 
 
 def vertexcover_imports(path: Path) -> set[str]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from vertexcover.qubo import (
     export_qubo,
     parse_qubo,
     solve_anneal,
-    solve_exhaustive,
 )
 
-from reference import brute_force_oracle
+from reference import brute_force_oracle, solve_exhaustive
 from conftest import complete_graph, empty_graph
 
 
@@ -251,3 +251,20 @@ def test_export_round_trip_bit_exact():
         g = random_graph(3 + 2 * seed, 0.4, seed=seed)
         q = build_mvc_qubo(g, penalty_a=2.25, size_b=1.125)
         assert parse_qubo(export_qubo(q)) == q
+
+
+@pytest.mark.parametrize("text, message", [
+    # a second header would reset the linear terms read before it
+    ("p qubo 0 2 1 0\n0 0 1.5\np qubo 0 2 0 0\n", "line 3: second qubo header"),
+    ("p qubo 0 2 0 0\n0 0 nan\n", "line 2: non-finite value 'nan'"),
+    ("p qubo 0 2 0 0\n0 1 inf\n", "line 2: non-finite value 'inf'"),
+    ("c offset nan\np qubo 0 2 0 0\n", "line 1: non-finite value 'nan'"),
+    ("c A inf B 1.0\np qubo 0 2 0 0\n", "line 1: non-finite value 'inf'"),
+    ("p qubo 0 two 0 0\n", "line 1: malformed number 'two'"),
+    ("p qubo 0 -1 0 0\n", "line 1: negative variable count"),
+    ("p qubo 0 2 0 0\n0 1.0 2.0\n", "line 2: malformed number '1.0'"),
+], ids=["second-header", "nan-linear", "inf-quadratic", "nan-offset", "inf-penalty",
+        "non-integer-header", "negative-count", "non-integer-index"])
+def test_parse_qubo_refuses_bad_input(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_qubo(text)

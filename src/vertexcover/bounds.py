@@ -9,9 +9,9 @@ colouring bound is a clique partition tightened by unit propagation over
 its classes, as in MaxSAT-based clique search.
 
 Every bound takes a Graph or a Subproblem alike: it reads only
-``adjacency``, the ``alive`` vertex mask, ``vertices()``, ``degrees``
-and ``n``, and any vertex ids it returns are those of what it was given. A
-subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
+``adjacency``, the ``alive`` vertex mask, ``vertices()``, ``levels`` (the
+mask of the vertices of each degree) and ``n``, and any vertex ids it
+returns are those of what it was given. A subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
 itself, so no complement graph is built, and no bound builds a Graph.
 
 Both upper bounds come with a witness cover that attains them. The solver
@@ -40,6 +40,11 @@ __all__ = [
 LOWER_METHODS = ("coloring", "lp", "spectral")  # cheapest first
 
 
+def _ascending_degree(levels: dict[int, int]) -> list[int]:
+    """The vertices of ``levels`` in ascending (degree, id) order."""
+    return [v for degree in sorted(levels) for v in bits(levels[degree])]
+
+
 def lb_lp(g, limit: int | None = None) -> int:
     """The cover LP's optimum, rounded up: half a maximum matching of the
     bipartite double cover (Nemhauser & Trotter 1975), where the left copy
@@ -61,7 +66,7 @@ def lb_lp(g, limit: int | None = None) -> int:
     right_of: dict[int, int] = {}
     free = alive  # right copies without a mate
     untried = []
-    for u in sorted(bits(alive), key=g.degrees.__getitem__):
+    for u in _ascending_degree(g.levels):
         takes = masks[u] & free
         if takes:
             r = (takes & -takes).bit_length() - 1
@@ -174,8 +179,9 @@ def lb_coloring(g, limit: int | None = None) -> int:
     ascending (degree, id) order, largest complement degree first: a class
     starts at the first uncolored vertex and takes each later one adjacent to
     all its members, found as the lowest id in the lowest degree level
-    holding one. A class only grows, so a vertex it skips can never join it
-    later: these are first-fit's classes in that order.
+    holding one (a last candidate left joins with no search). A class only
+    grows, so a vertex it skips can never join it later: these are
+    first-fit's classes in that order.
 
     Unit propagation (``_disjoint_conflicts``) starts from the single-vertex
     classes. No independent set meets every class of a conflict, so k
@@ -187,11 +193,8 @@ def lb_coloring(g, limit: int | None = None) -> int:
     Either way the result reaches ``limit`` exactly when the full bound does,
     and then lies between the two; below it, it is at most the full bound.
     """
-    masks, degrees = g.adjacency, g.degrees
+    masks, by_degree = g.adjacency, g.levels
     most = g.n if limit is None else g.n - limit  # classes of 2+ it can afford
-    by_degree: dict[int, int] = {}
-    for v in g.vertices():
-        by_degree[degrees[v]] = by_degree.get(degrees[v], 0) | 1 << v
     levels = [by_degree[d] for d in sorted(by_degree)]
     uncolored = g.alive
     classes: list[int] = []
@@ -201,7 +204,7 @@ def lb_coloring(g, limit: int | None = None) -> int:
         while not uncolored & levels[first]:
             first += 1
         candidates, level, members = uncolored, first, 0
-        while candidates:
+        while candidates & (candidates - 1):
             found = candidates & levels[level]
             while not found:
                 level += 1
@@ -209,6 +212,7 @@ def lb_coloring(g, limit: int | None = None) -> int:
             low = found & -found
             members |= low
             candidates &= masks[low.bit_length() - 1]
+        members |= candidates  # the last candidate, if one is left
         uncolored ^= members
         if members & (members - 1):
             pairs += 1
@@ -231,7 +235,7 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     """
     masks = g.adjacency
     clique = 0  # bitmask
-    for v in sorted(g.vertices(), key=g.degrees.__getitem__):
+    for v in _ascending_degree(g.levels):
         if not clique & masks[v]:
             clique |= 1 << v
     cover = frozenset(bits(g.alive & ~clique))

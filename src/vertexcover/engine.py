@@ -52,7 +52,7 @@ from .bounds import (
     ub_greedy_clique,
     ub_local_search,
 )
-from .graphs import Graph
+from .graphs import Graph, bits
 from .qubo import build_mvc_qubo, decode_cover, solve_anneal
 from .reductions import REDUCTIONS, reduce_chain
 from .splitting import SELECTION_KINDS, Subproblem, node_key, select_vertex, split
@@ -178,8 +178,10 @@ class DecomposeResult:
 
 
 def is_vertex_cover(g: Graph, cover) -> bool:
-    cover = set(cover)
-    return all(u in cover or v in cover for u, v in g.edges())
+    """Whether ``cover`` meets every edge of g: no vertex left out of it has
+    a neighbour left out. Ids outside ``0..n-1`` are ignored."""
+    out = g.alive & ~sum(1 << v for v in set(cover).intersection(range(g.n)))
+    return not any(g.adjacency[v] & out for v in bits(out))
 
 
 # -- traversal ---------------------------------------------------------------
@@ -271,6 +273,7 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
             stacklevel=2,
         )
     root = Subproblem(g.base if isinstance(g, Subproblem) else g, g.alive)
+    object.__setattr__(root, "levels", g.levels)
     size, best = ub_greedy_clique(root)
     if limit is not None and limit <= size:
         size, best = limit, None

@@ -58,6 +58,14 @@ class Graph:
         return tuple(mask.bit_count() for mask in self.adjacency)
 
     @cached_property
+    def levels(self) -> dict[int, int]:
+        """The mask of the vertices of each degree, as ``Subproblem.levels``."""
+        levels: dict[int, int] = {}
+        for v, degree in enumerate(self.degrees):
+            levels[degree] = levels.get(degree, 0) | 1 << v
+        return levels
+
+    @cached_property
     def m(self) -> int:
         return sum(self.degrees) // 2
 

@@ -64,9 +64,12 @@ def build_mvc_qubo(g, penalty_a: float = 2.0, size_b: float = 1.0) -> Qubo:
             f"got size_b={size_b}, penalty_a={penalty_a}"
         )
     edges = position_edges(g)
+    masks, alive = g.adjacency, g.alive
     return Qubo(
         n=g.n,
-        linear=tuple(float(size_b - penalty_a * g.degrees[v]) for v in g.vertices()),
+        linear=tuple(
+            float(size_b - penalty_a * (masks[v] & alive).bit_count()) for v in g.vertices()
+        ),
         quadratic=dict.fromkeys(edges, float(penalty_a)),
         offset=float(penalty_a * len(edges)),
         penalty_a=float(penalty_a),
@@ -192,14 +195,15 @@ def decode_cover(g, x: Sequence[int]) -> set[int]:
     """
     if len(x) != g.n:
         raise ValueError(f"assignment length {len(x)} != vertex count {g.n}")
-    masks, alive, ids, degrees = g.adjacency, g.alive, g.vertices(), g.degrees
+    masks, alive, ids = g.adjacency, g.alive, g.vertices()
     cover = sum(1 << v for i, v in enumerate(ids) if x[i])
     # edges u < v in the QUBO's key order; only u joining covers another listed v
     for u in ids:
         for v in bits((masks[u] & alive & ~cover) >> u + 1 << u + 1):
             if cover >> u & 1:
                 break
-            cover |= 1 << (u if degrees[u] >= degrees[v] else v)
+            higher = (masks[u] & alive).bit_count() >= (masks[v] & alive).bit_count()
+            cover |= 1 << (u if higher else v)
     for v in reversed(bits(cover)):
         if not masks[v] & alive & ~cover:
             cover ^= 1 << v
@@ -234,8 +238,9 @@ def _number(field: str, cast, lineno: int):
 def parse_qubo(text: str) -> Qubo:
     """Parse the export_qubo text format.
 
-    A malformed line, a second header or a non-finite number raises
-    ``ValueError`` naming its line.
+    A malformed line, a second header, a non-finite number, a repeated term
+    or a term count other than the header's raises ``ValueError`` naming its
+    line; a count is refused at the header's.
     """
     offset = 0.0
     penalty_a = 2.0
@@ -243,6 +248,7 @@ def parse_qubo(text: str) -> Qubo:
     n = None
     linear: list[float] = []
     quadratic: dict[tuple[int, int], float] = {}
+    seen: set[tuple[int, int]] = set()  # (i, j) of every term, i <= j
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -260,10 +266,10 @@ def parse_qubo(text: str) -> Qubo:
                 raise ValueError(f"line {lineno}: second qubo header")
             if len(fields) != 6 or fields[1] != "qubo":
                 raise ValueError(f"line {lineno}: malformed qubo header {line!r}")
-            _, n, _, _ = (_number(f, int, lineno) for f in fields[2:])
+            _, n, n_linear, n_quadratic = (_number(f, int, lineno) for f in fields[2:])
             if n < 0:
                 raise ValueError(f"line {lineno}: negative variable count")
-            linear = [0.0] * n
+            header, linear = lineno, [0.0] * n
             continue
         if n is None:
             raise ValueError(f"line {lineno}: term before qubo header")
@@ -273,12 +279,22 @@ def parse_qubo(text: str) -> Qubo:
         coeff = _number(fields[2], float, lineno)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"line {lineno}: index out of range 0..{n - 1}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"line {lineno}: repeated term {key}")
+        seen.add(key)
         if i == j:
             linear[i] = coeff
         else:
-            quadratic[(min(i, j), max(i, j))] = coeff
+            quadratic[key] = coeff
     if n is None:
         raise ValueError("missing qubo header line")
+    found = (len(seen) - len(quadratic), len(quadratic))
+    if (n_linear, n_quadratic) != found:
+        raise ValueError(
+            f"line {header}: header counts {n_linear} linear and {n_quadratic} quadratic "
+            f"terms, found {found[0]} and {found[1]}"
+        )
     return Qubo(
         n=n,
         linear=tuple(linear),

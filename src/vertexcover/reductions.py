@@ -31,12 +31,12 @@ class ReductionOutcome:
     cover_contribution: int
 
 
-def _outcome(s: Subproblem, alive: int, committed: set[int], degrees=None) -> ReductionOutcome:
+def _outcome(s: Subproblem, alive: int, committed: set[int], levels=None) -> ReductionOutcome:
     reduced = s
     if alive != s.alive:
         reduced = Subproblem(s.base, alive, s.committed | committed, s.path)
-    if degrees is not None:
-        reduced.keep_degrees(degrees)
+        if levels is not None:
+            object.__setattr__(reduced, "levels", levels)
     return ReductionOutcome(reduced, s.n - reduced.n, len(committed))
 
 
@@ -49,45 +49,34 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
     so commit {c, a} and drop the triangle. Each pass applies the first
     rule that fires, at the lowest vertex id it fires on.
 
-    Degrees are counted once, then kept up to date (only the alive neighbours
-    of a deleted vertex change), and handed on as the result's ``degrees``.
+    The rules read degree levels 0, 1 and 2 of ``s.levels``. Each deletion
+    recounts only the alive neighbours of the deleted vertices, into new
+    levels, and the result holds the levels so kept up to date.
     """
     masks = s.adjacency
-    degrees: dict[int, int] = {}
-    small = [0, 0, 0]  # masks of the alive vertices of degree 0, 1 and 2
+    levels = s.levels
     committed: set[int] = set()
-    alive, gone, touched = s.alive, 0, s.alive  # the first pass counts every degree
+    alive = s.alive
     while True:
-        alive &= ~gone
-        for v in bits(gone):
-            del degrees[v]
-            touched |= masks[v]
-        touched &= alive
-        keep = ~(gone | touched)
-        small = [m & keep for m in small]
-        for v in bits(touched):
-            degree = degrees[v] = (masks[v] & alive).bit_count()
-            if degree < 3:
-                small[degree] |= 1 << v
-        isolated, pendants, degree_two = small
-        touched = 0
-        if isolated:
-            gone = isolated
-        elif pendants:
+        if 0 in levels:
+            gone = levels[0]
+        elif 1 in levels:
+            pendants = levels[1]
             pendant = (pendants & -pendants).bit_length() - 1
             nbr = masks[pendant] & alive
             committed.add(nbr.bit_length() - 1)
             gone = nbr | (1 << pendant)
         else:
+            degree_two = levels.get(2, 0)
             for a in bits(degree_two):
                 nbrs = masks[a] & alive
                 low = nbrs & -nbrs
                 u, w = low.bit_length() - 1, (nbrs ^ low).bit_length() - 1
                 if not (masks[u] >> w) & 1:
                     continue
-                if degrees[u] == 2:
+                if (degree_two >> u) & 1:
                     c = w
-                elif degrees[w] == 2:
+                elif (degree_two >> w) & 1:
                     c = u
                 else:
                     continue
@@ -95,7 +84,17 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
                 gone = nbrs | (1 << a)
                 break
             else:
-                return _outcome(s, alive, committed, degrees)
+                return _outcome(s, alive, committed, levels)
+        alive &= ~gone
+        touched = 0
+        for v in bits(gone):
+            touched |= masks[v]
+        touched &= alive
+        keep = ~(gone | touched)
+        levels = {d: kept for d, members in levels.items() if (kept := members & keep)}
+        for v in bits(touched):
+            degree = (masks[v] & alive).bit_count()
+            levels[degree] = levels.get(degree, 0) | 1 << v
 
 
 def reduce_dominance(s: Subproblem) -> ReductionOutcome:

@@ -33,11 +33,12 @@ class Subproblem:
     ``alive`` is a bitmask over ``base``'s vertex ids, and every vertex id a
     subproblem hands out or takes is a ``base`` id. Degrees come from
     ``base``'s fixed adjacency masks restricted to ``alive``, so deleting
-    vertices builds no graph. ``committed`` holds ids already decided to be
-    in the cover; they are never alive. ``serialize_graph``,
-    ``build_mvc_qubo`` and ``decode_cover`` read a subproblem's masks as they
-    read a graph's, numbering its vertices 0..n-1 so that i is
-    ``vertices()[i]``.
+    vertices builds no graph. ``levels`` groups the alive vertices by
+    degree; a node counts it once, or takes it from its parent or from the
+    reduction that made it. ``committed`` holds ids already decided to be in
+    the cover; they are never alive. ``serialize_graph``, ``build_mvc_qubo``
+    and ``decode_cover`` read a subproblem's masks as they read a graph's,
+    numbering its vertices 0..n-1 so that i is ``vertices()[i]``.
 
     ``path`` is the node's identity: the root is 1, and ``split`` gives the
     children of p the paths 2p (v in the cover) and 2p + 1 (v out). The bits
@@ -51,7 +52,9 @@ class Subproblem:
 
     @classmethod
     def root(cls, g: Graph) -> "Subproblem":
-        return cls(base=g, alive=g.alive)
+        root = cls(base=g, alive=g.alive)
+        object.__setattr__(root, "levels", g.levels)
+        return root
 
     @property
     def adjacency(self) -> tuple[int, ...]:
@@ -69,19 +72,20 @@ class Subproblem:
         return bits(self.alive)
 
     @cached_property
-    def degrees(self) -> dict[int, int]:
-        """Residual degree per alive vertex, in ascending id order."""
+    def levels(self) -> dict[int, int]:
+        """The mask of the alive vertices of each residual degree; no mask is
+        empty. ``split`` and the reductions set it on the nodes they make
+        when they can carry it over rather than count it."""
         masks, alive = self.base.adjacency, self.alive
-        return {v: (masks[v] & alive).bit_count() for v in self.vertices()}
-
-    def keep_degrees(self, degrees: dict[int, int]) -> None:
-        """Cache ``degrees`` counted elsewhere, as ``reduce_neighbor`` hands on
-        those it kept up to date; they must be what ``degrees`` would give."""
-        self.__dict__["degrees"] = degrees
+        levels: dict[int, int] = {}
+        for v in bits(alive):
+            degree = (masks[v] & alive).bit_count()
+            levels[degree] = levels.get(degree, 0) | 1 << v
+        return levels
 
     def drop_caches(self) -> None:
-        """Forget the cached ``degrees``; a subproblem kept for later holds none."""
-        self.__dict__.pop("degrees", None)
+        """Forget the cached ``levels``; a subproblem kept for later holds none."""
+        self.__dict__.pop("levels", None)
 
 
 def node_key(seed: int, path: int) -> int:
@@ -94,35 +98,45 @@ def node_key(seed: int, path: int) -> int:
 def select_vertex(s: Subproblem, kind: str, seed: int) -> int:
     """Pick the split vertex of the residual graph by the rule ``kind``.
 
+    The rule picks a degree level of ``s.levels``: the lowest, the highest,
+    or that of the vertex at index n // 2 in ascending (degree, id) order.
     Tie candidates are listed in ascending id order; the draw among them is
     seeded by ``node_key(seed, s.path)``, which the splits above the node fix
     alone, so it does not depend on the order in which nodes are visited.
     """
-    degrees = s.degrees
-    if not degrees:
+    levels = s.levels
+    if not levels:
         raise ValueError("cannot select a vertex from an empty graph")
     if kind == "random":
-        candidates = list(degrees)
+        candidates = s.vertices()
     else:
         if kind == "lowest_degree":
-            target = min(degrees.values())
+            target = min(levels)
         elif kind == "highest_degree":
-            target = max(degrees.values())
+            target = max(levels)
         elif kind == "median_degree":
-            order = sorted(degrees, key=degrees.__getitem__)
-            target = degrees[order[len(order) // 2]]
+            rank = s.n // 2
+            for target in sorted(levels):
+                rank -= levels[target].bit_count()
+                if rank < 0:
+                    break
         else:
             raise ValueError(
                 f"unknown selection kind {kind!r}; expected one of {SELECTION_KINDS}"
             )
-        candidates = [v for v, d in degrees.items() if d == target]
+        candidates = bits(levels[target])
     if len(candidates) == 1:
         return candidates[0]
     return random.Random(node_key(seed, s.path)).choice(candidates)
 
 
 def split(s: Subproblem, v: int) -> tuple[Subproblem, Subproblem]:
-    """Split at v, returning the (v in cover, v out of cover) children: paths 2p, 2p + 1."""
+    """Split at v, returning the (v in cover, v out of cover) children: paths 2p, 2p + 1.
+
+    When ``s`` holds its ``levels``, the plus child gets them shifted: v
+    leaves, and each level's members adjacent to v move down one level. The
+    minus child, which loses v's whole neighbourhood, counts its own.
+    """
     if v < 0 or not (s.alive >> v) & 1:
         raise ValueError(f"vertex {v} not in the residual graph")
     vbit = 1 << v
@@ -134,4 +148,14 @@ def split(s: Subproblem, v: int) -> tuple[Subproblem, Subproblem]:
         s.committed.union(bits(neighbors)),
         2 * s.path + 1,
     )
+    if "levels" in s.__dict__:
+        levels: dict[int, int] = {}
+        for degree, members in s.levels.items():
+            down = members & neighbors
+            if down:
+                levels[degree - 1] = levels.get(degree - 1, 0) | down
+            stay = members & ~(down | vbit)
+            if stay:
+                levels[degree] = levels.get(degree, 0) | stay
+        object.__setattr__(s_plus, "levels", levels)
     return s_plus, s_minus

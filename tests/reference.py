@@ -9,13 +9,17 @@ oracle, and ``residual_graph`` is a subproblem rebuilt as a standalone
 ``build_mvc_qubo``, ``decode_cover``, the bounds) must agree with.
 ``solve_exhaustive`` is a QUBO's ground state by a sweep of every
 assignment, the reference the annealer and the QUBO leaf path are checked
-against. None of it runs inside ``solve`` or ``decompose``. So that the
+against. ``dict_select_vertex`` and ``level_scan_coloring`` are the split
+selection and the colouring bound read from a recount of every residual
+degree (``residual_degrees``), the views that the solver's carried degree
+levels must agree with. None of it runs inside ``solve`` or ``decompose``. So that the
 oracle can vouch for the solver, this module imports nothing from
 ``vertexcover`` but ``vertexcover.graphs``.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from typing import Iterable
 
@@ -39,6 +43,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
         sum(1 << index[u] for u in bits(g.adjacency[orig]) if u in index)
         for orig in kept
     ))
+
+
+def residual_degrees(g) -> dict[int, int]:
+    """Residual degree of each alive vertex of a Graph or a Subproblem, in
+    ascending id order, counted from the masks."""
+    masks, alive = g.adjacency, g.alive
+    return {v: (masks[v] & alive).bit_count() for v in bits(alive)}
 
 
 def residual_graph(s) -> Graph:
@@ -196,7 +207,7 @@ def scan_bounded_exact_leaf_solve(g, limit=None):
         return set()
     masks = g.adjacency
     independent = 0
-    for v in sorted(bits(g.alive), key=g.degrees.__getitem__):
+    for v in sorted(bits(g.alive), key=residual_degrees(g).__getitem__):
         if not independent & masks[v]:
             independent |= 1 << v
     best_cover = bits(g.alive & ~independent)
@@ -232,3 +243,96 @@ def scan_bounded_exact_leaf_solve(g, limit=None):
         stack.append((alive & ~(1 << branch), chosen | (1 << branch)))
         stack.append((alive & ~(nbrs | (1 << branch)), chosen | nbrs))
     return None if best_cover is None else set(best_cover)
+
+
+def dict_select_vertex(s, kind: str, key: int) -> int:
+    """The split vertex of ``select_vertex``'s rule ``kind``, picked from a
+    degree dict: the candidates of the lowest, the highest or the median
+    degree (that of the vertex at index n // 2 in ascending (degree, id)
+    order), or every vertex for ``random``, in ascending id order, and the
+    draw among them seeded by ``key``."""
+    degrees = residual_degrees(s)
+    if kind == "random":
+        candidates = list(degrees)
+    else:
+        if kind == "lowest_degree":
+            target = min(degrees.values())
+        elif kind == "highest_degree":
+            target = max(degrees.values())
+        else:
+            order = sorted(degrees, key=degrees.__getitem__)
+            target = degrees[order[len(order) // 2]]
+        candidates = [v for v, d in degrees.items() if d == target]
+    if len(candidates) == 1:
+        return candidates[0]
+    return random.Random(key).choice(candidates)
+
+
+def _unit_conflicts(masks, classes, units, want) -> int:
+    """Disjoint conflicts, up to ``want``, that unit propagation from the
+    one-vertex ``units`` finds among the clique ``classes``; each found
+    conflict's classes are set aside before the next round."""
+    k = 0
+    live = list(range(len(classes)))
+    while True:
+        left, why, stack = classes[:], [1 << i for i in range(len(classes))], units[:]
+        conflict = 0
+        while stack and not conflict:
+            i = stack.pop()
+            nbrs = masks[left[i].bit_length() - 1]
+            for j in live:
+                if left[j] & nbrs:
+                    left[j] &= ~nbrs
+                    why[j] |= why[i]
+                    if left[j].bit_count() <= 1:
+                        if not left[j]:
+                            conflict = why[j]
+                            break
+                        stack.append(j)
+        if not conflict:
+            return k
+        k += 1
+        if k == want:
+            return k
+        live = [i for i in live if not conflict >> i & 1]
+        units = [i for i in units if not conflict >> i & 1]
+
+
+def level_scan_coloring(g, limit: int | None = None) -> int:
+    """``lb_coloring``'s bound, its degree levels built from a degree dict.
+
+    Each class starts at the lowest uncoloured vertex of the lowest degree
+    level, then takes the lowest candidate (a vertex adjacent to all its
+    members) of the lowest level holding one, until no candidate is left.
+    Colouring stops once the classes of two or more vertices exceed
+    ``n - limit``; unit propagation then seeks the conflicts the bound
+    still needs.
+    """
+    masks, degrees = g.adjacency, residual_degrees(g)
+    most = g.n if limit is None else g.n - limit
+    by_degree: dict[int, int] = {}
+    for v, d in degrees.items():
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    levels = [by_degree[d] for d in sorted(by_degree)]
+    uncolored = g.alive
+    classes: list[int] = []
+    units: list[int] = []
+    pairs = 0
+    while uncolored and pairs <= most:
+        candidates, members = uncolored, 0
+        while candidates:
+            found = next(candidates & level for level in levels if candidates & level)
+            low = found & -found
+            members |= low
+            candidates &= masks[low.bit_length() - 1]
+        uncolored ^= members
+        if members.bit_count() > 1:
+            pairs += 1
+        else:
+            units.append(len(classes))
+        classes.append(members)
+    bound = g.n - uncolored.bit_count() - len(classes)
+    want = len(units) if limit is None else limit - bound
+    if pairs > most or want <= 0:
+        return bound
+    return bound + _unit_conflicts(masks, classes, units, want)

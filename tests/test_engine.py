@@ -245,7 +245,7 @@ def test_decompose_only_whole_graph_is_single_leaf():
 
 
 def test_decompose_only_leaves_drop_their_caches(monkeypatch):
-    # every leaf is bounded, which fills Subproblem.degrees; a kept leaf drops it
+    # every leaf is bounded, which fills Subproblem.levels; a kept leaf drops it
     dropped = []
     monkeypatch.setattr(engine.Subproblem, "drop_caches", lambda leaf: dropped.append(leaf))
     dec = decompose_only(random_graph(64, 0.25, seed=3), SolveConfig(leaf_size=28, seed=3))
@@ -253,14 +253,14 @@ def test_decompose_only_leaves_drop_their_caches(monkeypatch):
     assert list(map(id, dropped)) == list(map(id, dec.leaves))
 
 
-def test_decompose_only_leaves_hold_no_degrees():
-    # the reduction seeds Subproblem.degrees on every node it shrinks; kept
-    # leaves must still hold none, or a long leaf list keeps a dict per leaf
+def test_decompose_only_leaves_hold_no_levels():
+    # split and the reduction carry Subproblem.levels to the nodes they make;
+    # kept leaves must still hold none, or a long leaf list keeps a dict per leaf
     for chain in ((), ("neighbor",), ("dominance",), ("neighbor", "dominance")):
         cfg = SolveConfig(leaf_size=28, reductions=chain, seed=3)
         dec = decompose_only(random_graph(64, 0.25, seed=3), cfg)
         assert dec.leaf_count > 1
-        assert all("degrees" not in leaf.__dict__ for leaf in dec.leaves)
+        assert all("levels" not in leaf.__dict__ for leaf in dec.leaves)
 
 
 def test_decompose_only_triangle_recovers_optimum():

@@ -36,12 +36,15 @@ from vertexcover.qubo import (
     solve_anneal,
 )
 from vertexcover.reductions import REDUCTIONS, reduce_chain, reduce_dominance
-from vertexcover.splitting import SELECTION_KINDS, Subproblem
+from vertexcover.splitting import SELECTION_KINDS, Subproblem, node_key, select_vertex, split
 
 from reference import (
     LP_CAP,
     brute_force_oracle,
+    dict_select_vertex,
     half_integral_lp_optimum,
+    level_scan_coloring,
+    residual_degrees,
     residual_graph,
     scan_bounded_exact_leaf_solve,
     solve_exhaustive,
@@ -191,7 +194,7 @@ def first_fit_classes(g) -> list[int]:
     id) order, joins the first class whose members are all its neighbours."""
     masks = g.adjacency
     classes: list[int] = []
-    for v in sorted(g.vertices(), key=g.degrees.__getitem__):
+    for v in sorted(g.vertices(), key=residual_degrees(g).__getitem__):
         for i, members in enumerate(classes):
             if not members & ~masks[v]:
                 classes[i] = members | 1 << v
@@ -301,6 +304,13 @@ def rounds_reduce_chain(s, chain):
     return alive, frozenset(committed)
 
 
+def recount_levels(s) -> dict[int, int]:
+    levels: dict[int, int] = {}
+    for v, d in residual_degrees(s).items():
+        levels[d] = levels.get(d, 0) | 1 << v
+    return levels
+
+
 CHAINS = [
     chain
     for k in range(len(REDUCTIONS) + 1)
@@ -312,17 +322,16 @@ CHAINS = [
 @given(graphs(), st.integers(0, 2**14 - 1))
 @example(build_graph(3, [(0, 1), (1, 2), (0, 2)]), 0b111)
 @example(build_graph(4, [(0, 1), (1, 2), (2, 3)]), 0b1111)
-def test_reduce_chain_hands_on_fresh_degrees_and_matches_a_recount(g, keep):
-    """Every chain's result carries the degrees a recount gives, in the same key
-    order, is a fixed point of the chain, and removes and commits what the
-    recount-every-pass reference does; on a graph and on a subproblem."""
+def test_reduce_chain_hands_on_fresh_levels_and_matches_a_recount(g, keep):
+    """Every chain's result carries the levels a recount gives, is a fixed
+    point of the chain, and removes and commits what the recount-every-pass
+    reference does; on a graph and on a subproblem."""
     for s in (Subproblem.root(g), Subproblem(base=g, alive=g.alive & keep)):
         for chain in CHAINS:
             out = reduce_chain(s, chain)
             reduced = out.reduced
-            masks, alive = reduced.adjacency, reduced.alive
-            fresh = {v: (masks[v] & alive).bit_count() for v in reduced.vertices()}
-            assert list(reduced.degrees.items()) == list(fresh.items()), chain
+            alive = reduced.alive
+            assert reduced.levels == recount_levels(reduced), chain
             again = reduce_chain(reduced, chain)
             assert (again.removed_vertices, again.cover_contribution) == (0, 0), chain
             assert again.reduced.alive == alive, chain
@@ -330,6 +339,47 @@ def test_reduce_chain_hands_on_fresh_degrees_and_matches_a_recount(g, keep):
             assert (alive, reduced.committed) == (ref_alive, ref_committed), chain
             assert out.removed_vertices == s.n - alive.bit_count(), chain
             assert out.cover_contribution == len(ref_committed - s.committed), chain
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=40), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**40)), max_size=12))
+@example(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), [(0, 0), (0, 1)])
+@example(build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), [(0, 0)])
+def test_carried_levels_match_a_recount_and_the_degree_dict_views(g, steps):
+    """Along random splits (either child) and reductions, each node's levels
+    are a recount's, with no empty mask, and every plus child carries them
+    from its parent. At every node ``select_vertex``
+    with every rule and ``lb_coloring`` with every limit agree with the
+    degree-dict references."""
+    node = Subproblem.root(g)
+    for op, pick in [(None, 0)] + steps:
+        if op is not None and not node.n:
+            break
+        if op in (0, 1):
+            child = split(node, bits(node.alive)[pick % node.n])[op]
+            assert op == 1 or "levels" in child.__dict__
+            node = child
+        elif op is not None:
+            node = reduce_chain(node, CHAINS[pick % len(CHAINS)]).reduced
+        levels = node.levels
+        assert levels == recount_levels(node) and all(levels.values())
+        if node.n:
+            for kind, seed in itertools.product(SELECTION_KINDS, (0, 1, 7, pick)):
+                expected = dict_select_vertex(node, kind, node_key(seed, node.path))
+                assert select_vertex(node, kind, seed) == expected, (kind, seed)
+        for limit in [None, *range(node.n + 2)]:
+            assert lb_coloring(node, limit) == level_scan_coloring(node, limit), limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.lists(st.integers(-2, 16), max_size=16))
+@example(build_graph(0, []), [])
+@example(build_graph(3, [(0, 1), (1, 2)]), [1, 1, 5, -1])
+def test_is_vertex_cover_checks_every_edge(g, cover):
+    """The mask check agrees with the edge-by-edge definition; ids outside
+    ``0..n-1`` and repeats change nothing."""
+    expected = all(u in cover or v in cover for u, v in g.edges())
+    assert is_vertex_cover(g, cover) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,7 +445,7 @@ def test_qubo_of_subproblem_is_its_graphs(g, keep, assignment):
 
 def position_edges_decode_cover(g, x):
     """``decode_cover`` as it read the edges from ``position_edges``: the reference."""
-    masks, alive, ids, degrees = g.adjacency, g.alive, g.vertices(), g.degrees
+    masks, alive, ids, degrees = g.adjacency, g.alive, g.vertices(), residual_degrees(g)
     cover = sum(1 << v for i, v in enumerate(ids) if x[i])
     for i, j in position_edges(g):
         u, v = ids[i], ids[j]

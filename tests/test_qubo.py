@@ -263,8 +263,17 @@ def test_export_round_trip_bit_exact():
     ("p qubo 0 two 0 0\n", "line 1: malformed number 'two'"),
     ("p qubo 0 -1 0 0\n", "line 1: negative variable count"),
     ("p qubo 0 2 0 0\n0 1.0 2.0\n", "line 2: malformed number '1.0'"),
+    # the header's term counts must match the terms that follow it
+    ("p qubo 0 2 5 7\n0 0 1\n",
+     "line 1: header counts 5 linear and 7 quadratic terms, found 1 and 0"),
+    ("c offset 2.0\np qubo 0 3 0 1\n0 1 2\n1 2 2\n",
+     "line 2: header counts 0 linear and 1 quadratic terms, found 0 and 2"),
+    # a repeated term would silently replace the earlier one
+    ("p qubo 0 2 0 2\n0 1 2\n1 0 3\n", "line 3: repeated term (0, 1)"),
+    ("p qubo 0 2 2 0\n0 0 2\n0 0 3\n", "line 3: repeated term (0, 0)"),
 ], ids=["second-header", "nan-linear", "inf-quadratic", "nan-offset", "inf-penalty",
-        "non-integer-header", "negative-count", "non-integer-index"])
+        "non-integer-header", "negative-count", "non-integer-index",
+        "too-few-terms", "too-many-terms", "repeated-quadratic", "repeated-linear"])
 def test_parse_qubo_refuses_bad_input(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_qubo(text)

@@ -73,12 +73,13 @@ def test_split_paths_spell_the_branches():
     assert grand_plus.depth == grand_minus.depth == 2
 
 
-def test_drop_caches_recomputes_degrees():
+def test_drop_caches_recomputes_levels():
     s = Subproblem.root(path_graph(4))
-    degrees = s.degrees
-    assert s.degrees is degrees
+    levels = s.levels
+    assert levels == {1: 0b1001, 2: 0b0110} and s.levels is levels
     s.drop_caches()
-    assert s.degrees == degrees and s.degrees is not degrees
+    assert "levels" not in s.__dict__
+    assert s.levels == levels and s.levels is not levels
 
 
 def test_split_star_center():

@@ -33,12 +33,11 @@ class Subproblem:
     ``alive`` is a bitmask over ``base``'s vertex ids, and every vertex id a
     subproblem hands out or takes is a ``base`` id. Degrees come from
     ``base``'s fixed adjacency masks restricted to ``alive``, so deleting
-    vertices builds no graph. ``levels`` groups the alive vertices by
-    degree; a node counts it once, or takes it from its parent or from the
-    reduction that made it. ``committed`` holds ids already decided to be in
-    the cover; they are never alive. ``serialize_graph``, ``build_mvc_qubo``
-    and ``decode_cover`` read a subproblem's masks as they read a graph's,
-    numbering its vertices 0..n-1 so that i is ``vertices()[i]``.
+    vertices builds no graph. ``committed`` holds ids already decided to be
+    in the cover; they are never alive. ``serialize_graph``,
+    ``build_mvc_qubo`` and ``decode_cover`` read a subproblem's masks as they
+    read a graph's, numbering its vertices 0..n-1 so that i is
+    ``vertices()[i]``.
 
     ``path`` is the node's identity: the root is 1, and ``split`` gives the
     children of p the paths 2p (v in the cover) and 2p + 1 (v out). The bits
@@ -74,8 +73,8 @@ class Subproblem:
     @cached_property
     def levels(self) -> dict[int, int]:
         """The mask of the alive vertices of each residual degree; no mask is
-        empty. ``split`` and the reductions set it on the nodes they make
-        when they can carry it over rather than count it."""
+        empty. Counted once per node, unless ``split`` or the neighbour
+        reduction set it on the node they made, carried from its parent."""
         masks, alive = self.base.adjacency, self.alive
         levels: dict[int, int] = {}
         for v in bits(alive):

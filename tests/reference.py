@@ -11,8 +11,8 @@ oracle, and ``residual_graph`` is a subproblem rebuilt as a standalone
 assignment, the reference the annealer and the QUBO leaf path are checked
 against. ``dict_select_vertex`` and ``level_scan_coloring`` are the split
 selection and the colouring bound read from a recount of every residual
-degree (``residual_degrees``), the views that the solver's carried degree
-levels must agree with. None of it runs inside ``solve`` or ``decompose``. So that the
+degree (``residual_degrees``, ``recount_levels``), the views that the
+solver's carried degree levels must agree with. None of it runs inside ``solve`` or ``decompose``. So that the
 oracle can vouch for the solver, this module imports nothing from
 ``vertexcover`` but ``vertexcover.graphs``.
 """
@@ -50,6 +50,14 @@ def residual_degrees(g) -> dict[int, int]:
     ascending id order, counted from the masks."""
     masks, alive = g.adjacency, g.alive
     return {v: (masks[v] & alive).bit_count() for v in bits(alive)}
+
+
+def recount_levels(g) -> dict[int, int]:
+    """``residual_degrees`` grouped into the mask of each degree's vertices."""
+    levels: dict[int, int] = {}
+    for v, d in residual_degrees(g).items():
+        levels[d] = levels.get(d, 0) | 1 << v
+    return levels
 
 
 def residual_graph(s) -> Graph:
@@ -299,7 +307,7 @@ def _unit_conflicts(masks, classes, units, want) -> int:
 
 
 def level_scan_coloring(g, limit: int | None = None) -> int:
-    """``lb_coloring``'s bound, its degree levels built from a degree dict.
+    """``lb_coloring``'s bound, its degree levels recounted from the masks.
 
     Each class starts at the lowest uncoloured vertex of the lowest degree
     level, then takes the lowest candidate (a vertex adjacent to all its
@@ -308,11 +316,8 @@ def level_scan_coloring(g, limit: int | None = None) -> int:
     ``n - limit``; unit propagation then seeks the conflicts the bound
     still needs.
     """
-    masks, degrees = g.adjacency, residual_degrees(g)
+    masks, by_degree = g.adjacency, recount_levels(g)
     most = g.n if limit is None else g.n - limit
-    by_degree: dict[int, int] = {}
-    for v, d in degrees.items():
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
     levels = [by_degree[d] for d in sorted(by_degree)]
     uncolored = g.alive
     classes: list[int] = []

@@ -44,6 +44,7 @@ from reference import (
     dict_select_vertex,
     half_integral_lp_optimum,
     level_scan_coloring,
+    recount_levels,
     residual_degrees,
     residual_graph,
     scan_bounded_exact_leaf_solve,
@@ -304,13 +305,6 @@ def rounds_reduce_chain(s, chain):
     return alive, frozenset(committed)
 
 
-def recount_levels(s) -> dict[int, int]:
-    levels: dict[int, int] = {}
-    for v, d in residual_degrees(s).items():
-        levels[d] = levels.get(d, 0) | 1 << v
-    return levels
-
-
 CHAINS = [
     chain
     for k in range(len(REDUCTIONS) + 1)
@@ -348,27 +342,30 @@ def test_reduce_chain_hands_on_fresh_levels_and_matches_a_recount(g, keep):
 def test_carried_levels_match_a_recount_and_the_degree_dict_views(g, steps):
     """Along random splits (either child) and reductions, each node's levels
     are a recount's, with no empty mask, and every plus child carries them
-    from its parent. At every node ``select_vertex``
-    with every rule and ``lb_coloring`` with every limit agree with the
-    degree-dict references."""
-    node = Subproblem.root(g)
-    for op, pick in [(None, 0)] + steps:
-        if op is not None and not node.n:
-            break
-        if op in (0, 1):
-            child = split(node, bits(node.alive)[pick % node.n])[op]
-            assert op == 1 or "levels" in child.__dict__
-            node = child
-        elif op is not None:
-            node = reduce_chain(node, CHAINS[pick % len(CHAINS)]).reduced
+    from its parent. At every node ``select_vertex`` with every rule and
+    ``lb_coloring`` with every limit agree with the degree-dict references."""
+
+    def check(node, pick):
         levels = node.levels
         assert levels == recount_levels(node) and all(levels.values())
-        if node.n:
-            for kind, seed in itertools.product(SELECTION_KINDS, (0, 1, 7, pick)):
+        for kind, seed in itertools.product(SELECTION_KINDS, (0, 1, 7, pick)):
+            if node.n:
                 expected = dict_select_vertex(node, kind, node_key(seed, node.path))
                 assert select_vertex(node, kind, seed) == expected, (kind, seed)
         for limit in [None, *range(node.n + 2)]:
             assert lb_coloring(node, limit) == level_scan_coloring(node, limit), limit
+
+    node = Subproblem.root(g)
+    check(node, 0)
+    for op, pick in steps:
+        if not node.n:
+            break
+        if op < 2:
+            node = split(node, bits(node.alive)[pick % node.n])[op]
+            assert op or "levels" in node.__dict__  # the plus child's, carried
+        else:
+            node = reduce_chain(node, CHAINS[pick % len(CHAINS)]).reduced
+        check(node, pick)
 
 
 @settings(max_examples=300, deadline=None)

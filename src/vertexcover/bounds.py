@@ -21,6 +21,7 @@ offers each node's ``greedy_clique`` cover with ``clique_upper_bound`` set.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 import numpy as np
 
@@ -40,9 +41,14 @@ __all__ = [
 LOWER_METHODS = ("coloring", "lp", "spectral")  # cheapest first
 
 
-def _ascending_degree(levels: dict[int, int]) -> list[int]:
+def _ascending_degree(levels: dict[int, int]) -> Iterator[int]:
     """The vertices of ``levels`` in ascending (degree, id) order."""
-    return [v for degree in sorted(levels) for v in bits(levels[degree])]
+    for degree in sorted(levels):
+        members = levels[degree]
+        while members:  # bit by bit: a bits() call per level costs more on small masks
+            low = members & -members
+            members ^= low
+            yield low.bit_length() - 1
 
 
 def lb_lp(g, limit: int | None = None) -> int:

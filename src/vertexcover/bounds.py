@@ -11,8 +11,9 @@ its classes, as in MaxSAT-based clique search.
 Every bound takes a Graph or a Subproblem alike: it reads only
 ``adjacency``, the ``alive`` vertex mask, ``vertices()``, ``levels`` (the
 mask of the vertices of each degree) and ``n``, and any vertex ids it
-returns are those of what it was given. A subproblem's complement neighbourhood of v is ``alive & ~masks[v]`` less v
-itself, so no complement graph is built, and no bound builds a Graph.
+returns are those of what it was given. A subproblem's complement
+neighbourhood of v is ``alive & ~masks[v]`` less v itself, so no complement
+graph is built, and no bound builds a Graph.
 
 Both upper bounds come with a witness cover that attains them. The solver
 offers each node's ``greedy_clique`` cover with ``clique_upper_bound`` set.
@@ -185,7 +186,8 @@ def lb_coloring(g, limit: int | None = None) -> int:
     ascending (degree, id) order, largest complement degree first: a class
     starts at the first uncolored vertex and takes each later one adjacent to
     all its members, found as the lowest id in the lowest degree level
-    holding one (a last candidate left joins with no search). A class only
+    holding one (a vertex with no uncolored neighbour is a class at once,
+    and a last candidate left joins with no search). A class only
     grows, so a vertex it skips can never join it later: these are
     first-fit's classes in that order.
 
@@ -207,9 +209,12 @@ def lb_coloring(g, limit: int | None = None) -> int:
     units: list[int] = []  # single-vertex classes
     pairs = first = 0  # classes of two or more vertices
     while uncolored and pairs <= most:
-        while not uncolored & levels[first]:
+        found = uncolored & levels[first]
+        while not found:
             first += 1
-        candidates, level, members = uncolored, first, 0
+            found = uncolored & levels[first]
+        members = found & -found
+        candidates, level = uncolored & masks[members.bit_length() - 1], first
         while candidates & (candidates - 1):
             found = candidates & levels[level]
             while not found:
@@ -237,13 +242,20 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
 
     The clique is an independent set of g, so everything outside it is a
     vertex cover. Vertices join in ascending (degree, id) order when they
-    have no neighbour in the clique. Returns (cover size, cover).
+    have no neighbour in the clique. The walk visits only those that join:
+    each level starts without the clique's neighbours, and a vertex that
+    joins drops its own neighbours from the rest, so the lowest vertex left
+    is always the next to join. Returns (cover size, cover).
     """
-    masks = g.adjacency
-    clique = 0  # bitmask
-    for v in _ascending_degree(g.levels):
-        if not clique & masks[v]:
-            clique |= 1 << v
+    masks, levels = g.adjacency, g.levels
+    clique = blocked = 0  # the clique, and its members' neighbours
+    for degree in sorted(levels):
+        members = levels[degree] & ~blocked
+        while members:
+            low = members & -members
+            clique |= low
+            blocked |= masks[low.bit_length() - 1]
+            members &= ~(blocked | low)
     cover = frozenset(bits(g.alive & ~clique))
     return len(cover), cover
 

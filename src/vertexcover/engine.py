@@ -33,6 +33,10 @@ returns ``None`` when the leaf has no cover below it. A leaf cover could
 only ever replace the incumbent when it is below the cutoff, and any such
 cover survives every prune the cutoff adds, so the incumbent, the tree and
 the final cover are the same as with leaves solved to their own optimum.
+The leaf's root does not redo the tree's work. Its greedy-clique cover is
+computed once, as the search's starting incumbent, and is not offered
+again. When the cutoff is at most that cover's size, the root is split
+without a bound, since the tree has just bounded the leaf at that cutoff.
 
 Preprocessing time is the decomposition work alone; time spent inside leaf
 solvers is excluded and modeled instead as a fixed cost per dispatched leaf.
@@ -209,20 +213,19 @@ class _Stats:
         )
 
 
-def _search(root: Subproblem, cfg: SolveConfig, leaf_size: int, size: int, best, leaf, stats):
-    """Depth-first search under ``root`` for a cover smaller than ``size``;
-    ``best`` is a cover of that size, or ``None`` when ``size`` is only a cutoff.
+def _search(stack, cfg: SolveConfig, leaf_size: int, size: int, best, leaf, stats):
+    """Depth-first search of the open nodes on ``stack``, the last on top, for
+    a cover smaller than ``size``; ``best`` is a cover of that size, or
+    ``None`` when ``size`` is only a cutoff.
 
     Each node is reduced by ``cfg.reductions``, then pruned when its committed
     vertices plus the best of ``cfg.lower_bounds`` reach ``size``. A node left
     with at most ``leaf_size`` vertices goes to ``leaf(node, size)``, which
     returns a cover of the whole graph or ``None``. Any other node offers its
-    greedy-clique cover when ``cfg.clique_upper_bound`` is set, then splits,
-    its "vertex in cover" child on top of the stack. A cover replaces the
-    incumbent only when it is smaller. Returns the final incumbent.
+    greedy-clique cover when ``cfg.clique_upper_bound`` is set, then splits
+    (``_open``). A cover replaces the incumbent only when it is smaller.
+    Returns the final incumbent.
     """
-    stats.generated[root.depth] += 1
-    stack = [root]
     while stack:
         node = stack.pop()
         if cfg.reductions:
@@ -235,14 +238,23 @@ def _search(root: Subproblem, cfg: SolveConfig, leaf_size: int, size: int, best,
 
         if node.n <= leaf_size:
             cover = leaf(node, size)
-        else:
-            cover = node.committed | ub_greedy_clique(node)[1] if cfg.clique_upper_bound else None
-            s_plus, s_minus = split(node, select_vertex(node, cfg.strategy, cfg.seed))
-            stats.generated[s_plus.depth] += 2
-            stack += (s_minus, s_plus)
-        if cover is not None and len(cover) < size:
-            size, best = len(cover), cover
+            if cover is not None and len(cover) < size:
+                size, best = len(cover), cover
+            continue
+        if cfg.clique_upper_bound:
+            k, cover = ub_greedy_clique(node)
+            if len(node.committed) + k < size:
+                size, best = len(node.committed) + k, node.committed | cover
+        stack += _open(node, cfg, stats)
     return best
+
+
+def _open(node: Subproblem, cfg: SolveConfig, stats) -> tuple[Subproblem, Subproblem]:
+    """The children of ``node``'s split, its "vertex in cover" child last, to
+    go on top of the stack."""
+    s_plus, s_minus = split(node, select_vertex(node, cfg.strategy, cfg.seed))
+    stats.generated[s_plus.depth] += 2
+    return s_minus, s_plus
 
 
 # What the exact leaf search runs the loop with, not a setting: no reduction,
@@ -265,6 +277,12 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
     and the search starts at the smaller of the greedy-clique cover's size
     and ``limit``. The result is then ``None`` when no cover smaller than
     ``limit`` exists, and otherwise the same cover as without a cutoff.
+
+    The root's greedy-clique cover is the starting incumbent and is not
+    offered again. When ``limit`` is at most its size, the root is split
+    without a bound: the solver has bounded the leaf at that cutoff already,
+    and for any caller a skipped prune changes the search's time, never its
+    result.
     """
     if g.n > EXACT_LEAF_COMFORT_CAP:
         warnings.warn(
@@ -277,7 +295,11 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
     size, best = ub_greedy_clique(root)
     if limit is not None and limit <= size:
         size, best = limit, None
-    best = _search(root, _EXACT_LEAF, 0, size, best, lambda node, _: node.committed, _Stats())
+    elif combine_bounds(root, _EXACT_LEAF.lower_bounds, size) >= size:
+        return set(best)
+    stats = _Stats()
+    stack = list(_open(root, _EXACT_LEAF, stats)) if root.n else []
+    best = _search(stack, _EXACT_LEAF, 0, size, best, lambda node, _: node.committed, stats)
     return None if best is None else set(best)
 
 
@@ -317,7 +339,8 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
         return None
 
     size, best = ub_greedy_clique(g) if dispatch else ub_local_search(g, node_key(cfg.seed, 1))
-    best = _search(Subproblem.root(g), cfg, cfg.leaf_size, size, best, leaf, stats)
+    stats.generated[0] += 1
+    best = _search([Subproblem.root(g)], cfg, cfg.leaf_size, size, best, leaf, stats)
     preprocessing = time.perf_counter() - t_start - stats.leaf_seconds
     return best, stats, preprocessing, leaves
 

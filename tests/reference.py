@@ -9,12 +9,13 @@ oracle, and ``residual_graph`` is a subproblem rebuilt as a standalone
 ``build_mvc_qubo``, ``decode_cover``, the bounds) must agree with.
 ``solve_exhaustive`` is a QUBO's ground state by a sweep of every
 assignment, the reference the annealer and the QUBO leaf path are checked
-against. ``dict_select_vertex`` and ``level_scan_coloring`` are the split
-selection and the colouring bound read from a recount of every residual
-degree (``residual_degrees``, ``recount_levels``), the views that the
-solver's carried degree levels must agree with. None of it runs inside ``solve`` or ``decompose``. So that the
-oracle can vouch for the solver, this module imports nothing from
-``vertexcover`` but ``vertexcover.graphs``.
+against. ``dict_select_vertex``, ``level_scan_coloring`` and
+``plain_greedy_clique`` are the split selection, the colouring bound and
+the greedy-clique cover read from a recount of every residual degree
+(``residual_degrees``, ``recount_levels``), the views that the solver's
+carried degree levels must agree with. None of it runs inside ``solve`` or
+``decompose``. So that the oracle can vouch for the solver, this module
+imports nothing from ``vertexcover`` but ``vertexcover.graphs``.
 """
 
 from __future__ import annotations
@@ -341,3 +342,17 @@ def level_scan_coloring(g, limit: int | None = None) -> int:
     if pairs > most or want <= 0:
         return bound
     return bound + _unit_conflicts(masks, classes, units, want)
+
+
+def plain_greedy_clique(g) -> tuple[int, frozenset[int]]:
+    """``ub_greedy_clique``'s (cover size, cover) by a plain walk over every
+    alive vertex in ascending (degree, id) order of recounted degrees: a
+    vertex joins the clique when it has no neighbour in it, and the cover is
+    every alive vertex left out."""
+    masks, degrees = g.adjacency, residual_degrees(g)
+    clique = 0
+    for v in sorted(degrees, key=lambda v: (degrees[v], v)):
+        if not clique & masks[v]:
+            clique |= 1 << v
+    cover = frozenset(bits(g.alive & ~clique))
+    return len(cover), cover

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -376,6 +377,50 @@ def counting(monkeypatch, *names: str) -> dict[str, int]:
 
         monkeypatch.setattr(engine, name, counted)
     return calls
+
+
+def recording(monkeypatch, name: str, key) -> Counter:
+    """Count the engine's calls to its module-level ``name`` by ``key(*args)``."""
+    seen = Counter()
+    original = getattr(engine, name)
+
+    def recorded(*args, **kwargs):
+        seen[key(*args, **kwargs)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, name, recorded)
+    return seen
+
+
+def test_exact_leaf_roots_repeat_no_bound_and_no_greedy_clique(monkeypatch):
+    """On the benchmark's dense_leaf base graph, no (alive, cutoff) pair
+    reaches ``combine_bounds`` twice and no alive mask reaches
+    ``ub_greedy_clique`` twice: each leaf root offers its greedy-clique cover
+    once, and is not bounded again at the cutoff the tree bounded it at."""
+    g = random_graph_avg_degree(100, 20, seed=3)
+    bounded = recording(monkeypatch, "combine_bounds", lambda node, names, limit: (node.alive, limit))
+    cliques = recording(monkeypatch, "ub_greedy_clique", lambda node: node.alive)
+    result = solve(g, SolveConfig(seed=1))
+    assert result.leaf_count == 190
+    assert len(cliques) > result.leaf_count  # every leaf root, and the nodes the leaves split
+    assert max(bounded.values()) == 1
+    assert max(cliques.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "n, degree, seed, size, leaves, generated, pruned",
+    [(100, 20, 3, 81, 190, 1291, 456), (110, 10, 5, 78, 12, 2445, 1211)],
+)
+def test_full_size_trees(n, degree, seed, size, leaves, generated, pruned):
+    """The trees of two full-size graphs, which the golden file (n <= 56)
+    does not reach: the dense_leaf graph, whose leaves are full-size exact
+    searches, and the sparse n = 110 graph of the decomposition workload."""
+    g = random_graph_avg_degree(n, degree, seed=seed)
+    result = solve(g, SolveConfig(seed=1))
+    assert result.size == size
+    assert is_vertex_cover(g, result.cover)
+    assert (result.leaf_count, result.subproblems_generated, result.subproblems_pruned) == (
+        leaves, generated, pruned)
 
 
 def test_each_node_is_reduced_once_and_each_exact_leaf_solved_once(monkeypatch):

@@ -44,6 +44,7 @@ from reference import (
     dict_select_vertex,
     half_integral_lp_optimum,
     level_scan_coloring,
+    plain_greedy_clique,
     recount_levels,
     residual_degrees,
     residual_graph,
@@ -366,6 +367,23 @@ def test_carried_levels_match_a_recount_and_the_degree_dict_views(g, steps):
         else:
             node = reduce_chain(node, CHAINS[pick % len(CHAINS)]).reduced
         check(node, pick)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=40), st.integers(0, 2**40 - 1), st.integers(0, 2**40))
+@example(build_graph(4, [(0, 1), (1, 2), (2, 3)]), 0b1111, 0)
+@example(build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)]), 0b11110, 1)
+def test_greedy_clique_matches_the_plain_walk(g, keep, pick):
+    """The walk that visits only the vertices that join gives the plain
+    walk's (size, cover): on a graph, on a subproblem, and on both children
+    of its split, the plus child carrying its parent's levels."""
+    sub = Subproblem(base=g, alive=g.alive & keep)
+    nodes = [g, Subproblem.root(g), sub]
+    if sub.n:
+        assert sub.levels == recount_levels(sub)  # counted: split carries them
+        nodes += split(sub, bits(sub.alive)[pick % sub.n])
+    for node in nodes:
+        assert ub_greedy_clique(node) == plain_greedy_clique(node)
 
 
 @settings(max_examples=300, deadline=None)

@@ -242,9 +242,10 @@ def _search(stack, cfg: SolveConfig, leaf_size: int, size: int, best, leaf, stat
                 size, best = len(cover), cover
             continue
         if cfg.clique_upper_bound:
-            k, cover = ub_greedy_clique(node)
-            if len(node.committed) + k < size:
-                size, best = len(node.committed) + k, node.committed | cover
+            offer, cover = ub_greedy_clique(node)
+            offer += len(node.committed)
+            if offer < size:  # the union is built only for a cover that wins
+                size, best = offer, node.committed | cover
         stack += _open(node, cfg, stats)
     return best
 

@@ -33,10 +33,9 @@ returns ``None`` when the leaf has no cover below it. A leaf cover could
 only ever replace the incumbent when it is below the cutoff, and any such
 cover survives every prune the cutoff adds, so the incumbent, the tree and
 the final cover are the same as with leaves solved to their own optimum.
-The leaf's root does not redo the tree's work. Its greedy-clique cover is
-computed once, as the search's starting incumbent, and is not offered
-again. When the cutoff is at most that cover's size, the root is split
-without a bound, since the tree has just bounded the leaf at that cutoff.
+The leaf's root offers its greedy-clique cover once, as the starting
+incumbent, and is not bounded again when the tree's cutoff is at most that
+cover's size.
 
 Preprocessing time is the decomposition work alone; time spent inside leaf
 solvers is excluded and modeled instead as a fixed cost per dispatched leaf.

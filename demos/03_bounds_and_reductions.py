@@ -11,7 +11,6 @@ from vertexcover.bounds import (
     combine_bounds,
     lb_coloring,
     lb_lp,
-    lb_spectral,
     ub_greedy_clique,
 )
 from vertexcover.engine import exact_leaf_solve
@@ -19,14 +18,13 @@ from vertexcover.reductions import reduce_chain
 from vertexcover.splitting import Subproblem
 
 print("=== bounds on random instances ===")
-header = f"{'n':>3} {'opt':>4} {'lp':>6} {'spect':>6} {'color':>6} {'clique ub':>9}"
+header = f"{'n':>3} {'opt':>4} {'lp':>6} {'color':>6} {'clique ub':>9}"
 print(header)
 for seed in range(6):
     g = random_graph(16, 0.2 + 0.12 * seed, seed=seed)
     opt = len(exact_leaf_solve(g))
     ub, witness = ub_greedy_clique(g)
-    print(f"{g.n:>3} {opt:>4} {lb_lp(g):>6} {lb_spectral(g):>6} "
-          f"{lb_coloring(g):>6} {ub:>9}")
+    print(f"{g.n:>3} {opt:>4} {lb_lp(g):>6} {lb_coloring(g):>6} {ub:>9}")
 
 g = random_graph(16, 0.5, seed=11)
 print("\ncombined:", combine_bounds(g, LOWER_METHODS), "<= optimum <=",
@@ -43,17 +41,9 @@ print("caterpillar: committed", sorted(out.reduced.committed),
       "residual size", out.reduced.n,
       "| optimum", len(exact_leaf_solve(caterpillar)))
 
-# Dominance handles dense local structure the neighbor rule cannot.
-wheel = build_graph(6, [(0, i) for i in range(1, 6)]
-                    + [(i, i % 5 + 1) for i in range(1, 6)])
-out = reduce_chain(Subproblem.root(wheel), ["dominance", "neighbor"])
-print("wheel:       committed", sorted(out.reduced.committed),
-      "residual size", out.reduced.n,
-      "| optimum", len(exact_leaf_solve(wheel)))
-
 # On sparse random graphs, reductions often do a large share of the work.
 for seed in (0, 1, 2):
     g = random_graph(40, 0.06, seed=seed)
-    out = reduce_chain(Subproblem.root(g), ["neighbor", "dominance"])
+    out = reduce_chain(Subproblem.root(g), ["neighbor"])
     print(f"G(40, 0.06) seed {seed}: removed {out.removed_vertices:>2} of 40 "
           f"vertices, committed {out.cover_contribution}")

@@ -2,18 +2,18 @@
 
 Every lower bound is at most the optimum on every input, and every bound is
 a deterministic function of the graph. ``combine_bounds`` runs the named
-lower bounds cheapest first (colouring, LP, spectral) and stops at the first
-that reaches its ``limit``. The default set is the colouring bound, the
-stronger on dense residual graphs, and the LP bound, on sparse ones. The
-colouring bound is a clique partition tightened by unit propagation over
-its classes, as in MaxSAT-based clique search.
+lower bounds cheapest first and stops at the first that reaches its
+``limit``: the colouring bound, the stronger on dense residual graphs, then
+the LP bound, on sparse ones. The colouring bound is a clique partition
+tightened by unit propagation over its classes, as in MaxSAT-based clique
+search.
 
 Every bound takes a Graph or a Subproblem alike: it reads only
-``adjacency``, the ``alive`` vertex mask, ``vertices()``, ``levels`` (the
-mask of the vertices of each degree) and ``n``, and any vertex ids it
-returns are those of what it was given. A subproblem's complement
-neighbourhood of v is ``alive & ~masks[v]`` less v itself, so no complement
-graph is built, and no bound builds a Graph.
+``adjacency``, the ``alive`` vertex mask, ``levels`` (the mask of the
+vertices of each degree) and ``n``, and any vertex ids it returns are those
+of what it was given. A subproblem's complement neighbourhood of v is
+``alive & ~masks[v]`` less v itself, so no complement graph is built, and
+no bound builds a Graph.
 
 Both upper bounds come with a witness cover that attains them. The solver
 offers each node's ``greedy_clique`` cover with ``clique_upper_bound`` set.
@@ -24,22 +24,19 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-import numpy as np
-
 from .graphs import Graph, bits
 from .splitting import Subproblem
 
 __all__ = [
     "LOWER_METHODS",
     "lb_lp",
-    "lb_spectral",
     "lb_coloring",
     "ub_greedy_clique",
     "ub_local_search",
     "combine_bounds",
 ]
 
-LOWER_METHODS = ("coloring", "lp", "spectral")  # cheapest first
+LOWER_METHODS = ("coloring", "lp")  # cheapest first
 
 
 def _ascending_degree(levels: dict[int, int]) -> Iterator[int]:
@@ -105,37 +102,6 @@ def lb_lp(g, limit: int | None = None) -> int:
                 reach[r] = x
                 stack.append(left_of[r])
     return (len(right_of) + 1) // 2
-
-
-def lb_spectral(g) -> int:
-    """Eigenvalue inertia bound: independent sets have at most n0 + min(n+, n-) vertices.
-
-    The adjacency matrix lists the alive vertices in ascending id order.
-    """
-    masks, alive = g.adjacency, g.alive
-    index = {v: i for i, v in enumerate(g.vertices())}
-    rows, cols = [], []
-    for v, i in index.items():
-        nbrs = masks[v] & alive
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            rows.append(i)
-            cols.append(index[low.bit_length() - 1])
-    if not rows:
-        return 0
-    n = len(index)
-    a = np.zeros((n, n))
-    a[rows, cols] = 1.0
-    try:
-        eigs = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError:
-        return 0  # degraded: fall back to the trivial bound
-    tol = 1e-8 * float(np.max(np.abs(eigs)))
-    n_zero = int(np.sum(np.abs(eigs) <= tol))
-    n_pos = int(np.sum(eigs > tol))
-    n_neg = n - n_zero - n_pos
-    return max(0, n - (n_zero + min(n_pos, n_neg)))
 
 
 def _disjoint_conflicts(masks, classes, units, want) -> int:
@@ -332,6 +298,4 @@ def combine_bounds(g: Graph | Subproblem, names, limit: int | None = None) -> in
     # lb_lp reaches no limit above (n + 1) / 2; skip the call, not just its work
     if "lp" in names and (limit is None or best < limit and 2 * limit - 1 <= g.n):
         best = max(best, lb_lp(g, limit))
-    if "spectral" in names and (limit is None or best < limit):
-        best = max(best, lb_spectral(g))
     return best

@@ -15,7 +15,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .bounds import LOWER_METHODS
 from .engine import (
     EngineError,
     LEAF_SIZE_PRESETS,
@@ -41,16 +40,12 @@ _LOWER_CHOICES = {
     "none": frozenset(),
     "coloring": frozenset({"coloring"}),
     "lp": frozenset({"lp"}),
-    "spectral": frozenset({"spectral"}),
     "coloring+lp": frozenset({"coloring", "lp"}),
-    "all": frozenset(LOWER_METHODS),
 }
 _UPPER_CHOICES = {"none": False, "clique": True}
 _REDUCTION_CHOICES = {
     "none": (),
     "neighbor": ("neighbor",),
-    "dominance": ("dominance",),
-    "all": ("neighbor", "dominance"),
 }
 _FORMAT_CHOICES = {
     "dimacs": "dimacs",

@@ -28,7 +28,6 @@ __all__ = [
     "solve_anneal",
     "decode_cover",
     "export_qubo",
-    "parse_qubo",
 ]
 
 ANNEAL_T_END = 1e-3
@@ -211,7 +210,8 @@ def decode_cover(g, x: Sequence[int]) -> set[int]:
 
 
 def export_qubo(q: Qubo) -> str:
-    """Sparse text form; ``parse_qubo`` restores it bit-exactly."""
+    """Sparse text form (README, "File formats"); every float is written by
+    ``repr``, so the text restores the objective bit-exactly."""
     linear_terms = [(i, c) for i, c in enumerate(q.linear) if c != 0.0]
     quad_terms = sorted(q.quadratic.items())
     lines = [
@@ -222,84 +222,3 @@ def export_qubo(q: Qubo) -> str:
     lines.extend(f"{i} {i} {c!r}" for i, c in linear_terms)
     lines.extend(f"{i} {j} {c!r}" for (i, j), c in quad_terms)
     return "\n".join(lines) + "\n"
-
-
-def _number(field: str, cast, lineno: int):
-    """``cast(field)``, refused with the line number when malformed or not finite."""
-    try:
-        value = cast(field)
-    except ValueError:
-        raise ValueError(f"line {lineno}: malformed number {field!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"line {lineno}: non-finite value {field!r}")
-    return value
-
-
-def parse_qubo(text: str) -> Qubo:
-    """Parse the export_qubo text format.
-
-    A malformed line, a second header, a non-finite number, a repeated term
-    or a term count other than the header's raises ``ValueError`` naming its
-    line; a count is refused at the header's.
-    """
-    offset = 0.0
-    penalty_a = 2.0
-    size_b = 1.0
-    n = None
-    linear: list[float] = []
-    quadratic: dict[tuple[int, int], float] = {}
-    seen: set[tuple[int, int]] = set()  # (i, j) of every term, i <= j
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "c":
-            if len(fields) >= 3 and fields[1] == "offset":
-                offset = _number(fields[2], float, lineno)
-            elif len(fields) >= 5 and fields[1] == "A" and fields[3] == "B":
-                penalty_a = _number(fields[2], float, lineno)
-                size_b = _number(fields[4], float, lineno)
-            continue
-        if fields[0] == "p":
-            if n is not None:
-                raise ValueError(f"line {lineno}: second qubo header")
-            if len(fields) != 6 or fields[1] != "qubo":
-                raise ValueError(f"line {lineno}: malformed qubo header {line!r}")
-            _, n, n_linear, n_quadratic = (_number(f, int, lineno) for f in fields[2:])
-            if n < 0:
-                raise ValueError(f"line {lineno}: negative variable count")
-            header, linear = lineno, [0.0] * n
-            continue
-        if n is None:
-            raise ValueError(f"line {lineno}: term before qubo header")
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: malformed term {line!r}")
-        i, j = _number(fields[0], int, lineno), _number(fields[1], int, lineno)
-        coeff = _number(fields[2], float, lineno)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"line {lineno}: index out of range 0..{n - 1}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"line {lineno}: repeated term {key}")
-        seen.add(key)
-        if i == j:
-            linear[i] = coeff
-        else:
-            quadratic[key] = coeff
-    if n is None:
-        raise ValueError("missing qubo header line")
-    found = (len(seen) - len(quadratic), len(quadratic))
-    if (n_linear, n_quadratic) != found:
-        raise ValueError(
-            f"line {header}: header counts {n_linear} linear and {n_quadratic} quadratic "
-            f"terms, found {found[0]} and {found[1]}"
-        )
-    return Qubo(
-        n=n,
-        linear=tuple(linear),
-        quadratic=quadratic,
-        offset=offset,
-        penalty_a=penalty_a,
-        size_b=size_b,
-    )

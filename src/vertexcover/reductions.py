@@ -8,7 +8,6 @@ cover of the input extends every commitment made here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 
 from .graphs import bits
 from .splitting import Subproblem
@@ -17,11 +16,10 @@ __all__ = [
     "REDUCTIONS",
     "ReductionOutcome",
     "reduce_neighbor",
-    "reduce_dominance",
     "reduce_chain",
 ]
 
-REDUCTIONS = ("neighbor", "dominance")
+REDUCTIONS = ("neighbor",)
 
 
 @dataclass(frozen=True)
@@ -29,15 +27,6 @@ class ReductionOutcome:
     reduced: Subproblem
     removed_vertices: int
     cover_contribution: int
-
-
-def _outcome(s: Subproblem, alive: int, committed: set[int], levels=None) -> ReductionOutcome:
-    reduced = s
-    if alive != s.alive:
-        reduced = Subproblem(s.base, alive, s.committed | committed, s.path)
-        if levels is not None:
-            object.__setattr__(reduced, "levels", levels)
-    return ReductionOutcome(reduced, s.n - reduced.n, len(committed))
 
 
 def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
@@ -84,7 +73,11 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
                 gone = nbrs | (1 << a)
                 break
             else:
-                return _outcome(s, alive, committed, levels)
+                if alive == s.alive:
+                    return ReductionOutcome(s, 0, 0)
+                reduced = Subproblem(s.base, alive, s.committed | committed, s.path)
+                object.__setattr__(reduced, "levels", levels)
+                return ReductionOutcome(reduced, s.n - reduced.n, len(committed))
         alive &= ~gone
         touched = 0
         for v in bits(gone):
@@ -97,45 +90,9 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
             levels[degree] = levels.get(degree, 0) | 1 << v
 
 
-def reduce_dominance(s: Subproblem) -> ReductionOutcome:
-    """Commit v whenever some neighbor u has its closed neighborhood inside v's.
-
-    Any cover must hit the edge (u, v); if it does so via u only, swapping
-    u for v still covers everything u covered, so some optimal cover
-    contains v.
-    """
-    masks = s.adjacency
-    alive = s.alive
-    committed: set[int] = set()
-    while True:
-        for u in bits(alive):
-            nbrs = masks[u] & alive
-            v = next((v for v in bits(nbrs) if not nbrs & ~masks[v] & ~(1 << v)), -1)
-            if v >= 0:
-                committed.add(v)
-                alive &= ~(1 << v)
-                break
-        else:
-            return _outcome(s, alive, committed)
-
-
 def reduce_chain(s: Subproblem, enabled: list[str] | tuple[str, ...]) -> ReductionOutcome:
-    """Apply the named reductions in turn, each to its own fixed point, until
-    every one has run since the last that removed a vertex."""
+    """``reduce_neighbor(s)`` when ``enabled`` names it, else ``s`` unchanged."""
     for name in enabled:
         if name not in REDUCTIONS:
             raise ValueError(f"unknown reduction {name!r}; expected one of {REDUCTIONS}")
-    current = s
-    removed = contribution = 0
-    idle = 0  # reductions run since the last one that removed a vertex
-    names = cycle(enabled)
-    while idle < len(enabled):
-        if next(names) == "neighbor":
-            outcome = reduce_neighbor(current)
-        else:
-            outcome = reduce_dominance(current)
-        idle = 1 if outcome.removed_vertices else idle + 1
-        removed += outcome.removed_vertices
-        contribution += outcome.cover_contribution
-        current = outcome.reduced
-    return ReductionOutcome(current, removed, contribution)
+    return reduce_neighbor(s) if "neighbor" in enabled else ReductionOutcome(s, 0, 0)

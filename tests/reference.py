@@ -9,9 +9,11 @@ oracle, and ``residual_graph`` is a subproblem rebuilt as a standalone
 ``build_mvc_qubo``, ``decode_cover``, the bounds) must agree with.
 ``solve_exhaustive`` is a QUBO's ground state by a sweep of every
 assignment, the reference the annealer and the QUBO leaf path are checked
-against. ``dict_select_vertex``, ``level_scan_coloring`` and
-``plain_greedy_clique`` are the split selection, the colouring bound and
-the greedy-clique cover read from a recount of every residual degree
+against, and ``parse_qubo`` reads ``export_qubo``'s text back, the
+reference its round trip is checked against. ``dict_select_vertex``,
+``level_scan_coloring`` and ``plain_greedy_clique`` are the split selection,
+the colouring bound and the greedy-clique cover read from a recount of every
+residual degree
 (``residual_degrees``, ``recount_levels``), the views that the solver's
 carried degree levels must agree with. None of it runs inside ``solve`` or
 ``decompose``. So that the oracle can vouch for the solver, this module
@@ -20,6 +22,7 @@ imports nothing from ``vertexcover`` but ``vertexcover.graphs``.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 from typing import Iterable
@@ -177,6 +180,88 @@ def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
             best_index = start + k
     assignment = ((best_index >> np.arange(q.n)) & 1).astype(np.uint8)
     return assignment, best_energy
+
+
+def _number(field: str, cast, lineno: int):
+    """``cast(field)``, refused with the line number when malformed or not finite."""
+    try:
+        value = cast(field)
+    except ValueError:
+        raise ValueError(f"line {lineno}: malformed number {field!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: non-finite value {field!r}")
+    return value
+
+
+def parse_qubo(text: str) -> dict:
+    """``export_qubo``'s text read back as the fields of the ``Qubo`` it
+    wrote, by keyword, so ``Qubo(**parse_qubo(text))`` rebuilds it.
+
+    A malformed line, a second header, a non-finite number, a repeated term
+    or a term count other than the header's raises ``ValueError`` naming its
+    line; a count is refused at the header's.
+    """
+    offset = 0.0
+    penalty_a = 2.0
+    size_b = 1.0
+    n = None
+    linear: list[float] = []
+    quadratic: dict[tuple[int, int], float] = {}
+    seen: set[tuple[int, int]] = set()  # (i, j) of every term, i <= j
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "c":
+            if len(fields) >= 3 and fields[1] == "offset":
+                offset = _number(fields[2], float, lineno)
+            elif len(fields) >= 5 and fields[1] == "A" and fields[3] == "B":
+                penalty_a = _number(fields[2], float, lineno)
+                size_b = _number(fields[4], float, lineno)
+            continue
+        if fields[0] == "p":
+            if n is not None:
+                raise ValueError(f"line {lineno}: second qubo header")
+            if len(fields) != 6 or fields[1] != "qubo":
+                raise ValueError(f"line {lineno}: malformed qubo header {line!r}")
+            _, n, n_linear, n_quadratic = (_number(f, int, lineno) for f in fields[2:])
+            if n < 0:
+                raise ValueError(f"line {lineno}: negative variable count")
+            header, linear = lineno, [0.0] * n
+            continue
+        if n is None:
+            raise ValueError(f"line {lineno}: term before qubo header")
+        if len(fields) != 3:
+            raise ValueError(f"line {lineno}: malformed term {line!r}")
+        i, j = _number(fields[0], int, lineno), _number(fields[1], int, lineno)
+        coeff = _number(fields[2], float, lineno)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"line {lineno}: index out of range 0..{n - 1}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"line {lineno}: repeated term {key}")
+        seen.add(key)
+        if i == j:
+            linear[i] = coeff
+        else:
+            quadratic[key] = coeff
+    if n is None:
+        raise ValueError("missing qubo header line")
+    found = (len(seen) - len(quadratic), len(quadratic))
+    if (n_linear, n_quadratic) != found:
+        raise ValueError(
+            f"line {header}: header counts {n_linear} linear and {n_quadratic} quadratic "
+            f"terms, found {found[0]} and {found[1]}"
+        )
+    return {
+        "n": n,
+        "linear": tuple(linear),
+        "quadratic": quadratic,
+        "offset": offset,
+        "penalty_a": penalty_a,
+        "size_b": size_b,
+    }
 
 
 def greedy_clique_partition_bound(masks, alive: int) -> int:

@@ -21,7 +21,6 @@ from vertexcover.bounds import (
     LOWER_METHODS,
     lb_coloring,
     lb_lp,
-    lb_spectral,
     ub_greedy_clique,
 )
 from vertexcover.qubo import build_mvc_qubo, decode_cover
@@ -32,7 +31,7 @@ from reference import brute_force_oracle, residual_graph, solve_exhaustive
 from conftest import keller_benchmark_graph
 
 STRATEGIES = ("lowest_degree", "highest_degree", "median_degree", "random")
-REDUCTION_CHAINS = ((), ("neighbor",), ("dominance",), ("neighbor", "dominance"))
+REDUCTION_CHAINS = ((), ("neighbor",))
 LEAF_SIZES = (4, 8, 16)
 
 
@@ -113,7 +112,7 @@ def test_criterion_3_bound_sandwich(corpus_n24):
     """All enabled lower bounds stay at or below the optimum, all upper
     bounds at or above, and the greedy-clique witness is always a cover."""
     for g, oracle in corpus_n24:
-        lower = max(lb_lp(g), lb_spectral(g), lb_coloring(g))
+        lower = max(lb_lp(g), lb_coloring(g))
         upper, witness = ub_greedy_clique(g)
         assert lower <= oracle <= upper
         assert is_vertex_cover(g, witness)

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -9,13 +8,10 @@ from vertexcover.bounds import (
     combine_bounds,
     lb_coloring,
     lb_lp,
-    lb_spectral,
     ub_greedy_clique,
     ub_local_search,
 )
-from vertexcover.splitting import Subproblem
 
-from reference import residual_graph
 from conftest import complete_graph, cycle_graph, empty_graph, path_graph
 
 
@@ -24,12 +20,6 @@ def test_lp_examples():
     assert lb_lp(complete_graph(4)) == 2  # every vertex at one half
     assert lb_lp(path_graph(3)) == 1
     assert lb_lp(cycle_graph(5)) == 3  # LP optimum 5/2, above the colouring bound
-
-
-def test_spectral_examples():
-    assert lb_spectral(empty_graph(7)) == 0
-    assert lb_spectral(complete_graph(3)) == 2
-    assert lb_spectral(cycle_graph(5)) == 3
 
 
 def test_coloring_examples():
@@ -60,7 +50,7 @@ def test_local_search_cover_is_a_function_of_the_seed():
 
 def test_combine_bounds_c5():
     assert combine_bounds(cycle_graph(5), LOWER_METHODS) == 3
-    assert combine_bounds(cycle_graph(5), {"spectral"}) == 3
+    assert combine_bounds(cycle_graph(5), {"lp"}) == 3
 
 
 def test_combine_bounds_edgeless():
@@ -74,7 +64,7 @@ def test_combine_bounds_defaults_to_trivial():
 
 def test_combine_bounds_is_best_named_bound(corpus_n16):
     """Every subset of the lower bounds gives the max of its members, 0 for none."""
-    by_name = {"coloring": lb_coloring, "lp": lb_lp, "spectral": lb_spectral}
+    by_name = {"coloring": lb_coloring, "lp": lb_lp}
     assert set(by_name) == set(LOWER_METHODS)
     for g, _ in corpus_n16:
         values = {name: fn(g) for name, fn in by_name.items()}
@@ -86,25 +76,12 @@ def test_combine_bounds_is_best_named_bound(corpus_n16):
 
 def test_bounds_safety_against_oracle(corpus_n16):
     for g, oracle in corpus_n16:
-        for fn in (lb_lp, lb_spectral, lb_coloring):
+        for fn in (lb_lp, lb_coloring):
             assert fn(g) <= oracle, fn.__name__
         size, witness = ub_greedy_clique(g)
         assert size >= oracle
         assert len(witness) == size
         assert is_vertex_cover(g, witness)
-
-
-def test_spectral_on_subproblem_matches_its_graph(corpus_n16):
-    """The mask form builds the same matrix as the renumbered residual graph."""
-    rng = random.Random(5)
-    for g, _ in corpus_n16:
-        sub = Subproblem(base=g, alive=rng.getrandbits(g.n))
-        assert lb_spectral(sub) == lb_spectral(residual_graph(sub))
-    # a residual that keeps edges, to rule out agreement by emptiness alone
-    g = complete_graph(6)
-    sub = Subproblem(base=g, alive=0b110101)
-    assert (lb_spectral(sub) == lb_spectral(residual_graph(sub))
-            == lb_spectral(complete_graph(4)))
 
 
 def test_lower_never_exceeds_upper_when_sound(corpus_n16):
@@ -123,7 +100,7 @@ def test_complete_graph_bounds_tight():
 
 
 def test_unknown_method_rejected():
-    for name in ("min_degree", "lovasz"):
+    for name in ("min_degree", "spectral", "lovasz"):
         with pytest.raises(ValueError, match=name):
             SolveConfig(lower_bounds={name})
     assert SolveConfig(lower_bounds=["coloring"]).lower_bounds == frozenset({"coloring"})

@@ -6,12 +6,10 @@ import re
 import pytest
 
 from vertexcover import SolveConfig, cli, is_vertex_cover, parse_graph, serialize_graph
-from vertexcover.bounds import LOWER_METHODS
 from vertexcover.cli import main
 from vertexcover.engine import exact_leaf_solve
-from vertexcover.qubo import parse_qubo
 
-from reference import brute_force_oracle
+from reference import brute_force_oracle, parse_qubo
 from conftest import complete_graph
 
 
@@ -66,10 +64,24 @@ def test_cli_defaults_match_solve_config():
     """The solver flags' defaults restate SolveConfig's; they must not drift apart."""
     parse = cli.build_parser().parse_args
     assert cli._config_from_args(parse(["solve", "g.dimacs"])) == SolveConfig()
-    tuned = parse(["solve", "g.dimacs", "--lower-bound", "all", "--upper-bound", "clique"])
+    tuned = parse(["solve", "g.dimacs", "--lower-bound", "lp", "--upper-bound", "clique",
+                   "--reduction", "none"])
     assert cli._config_from_args(tuned) == SolveConfig(
-        lower_bounds=LOWER_METHODS, clique_upper_bound=True
+        lower_bounds={"lp"}, clique_upper_bound=True, reductions=()
     )
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lower-bound", "spectral"), ("--lower-bound", "all"),
+    ("--reduction", "dominance"), ("--reduction", "all"),
+])
+def test_removed_bound_and_reduction_choices_exit_2(tmp_path, capsys, flag, value):
+    path = tmp_path / "k3.dimacs"
+    path.write_text(K3_DIMACS)
+    with pytest.raises(SystemExit) as err:
+        main(["solve", str(path), flag, value])
+    assert err.value.code == 2
+    assert f"invalid choice: '{value}'" in capsys.readouterr().err
 
 
 def test_lower_bound_default_is_the_library_default(tmp_path, capsys):
@@ -235,14 +247,14 @@ def test_export_qubo_rejects_bad_weights(tmp_path, capsys):
 
 def test_export_qubo_round_trip(tmp_path, capsys):
     from vertexcover import random_graph
-    from vertexcover.qubo import build_mvc_qubo
+    from vertexcover.qubo import Qubo, build_mvc_qubo
 
     g = random_graph(9, 0.5, seed=12)
     path = tmp_path / "g.dimacs"
     path.write_text(serialize_graph(g, "dimacs"))
     code, out, _ = run_cli(capsys, ["export-qubo", str(path)])
     assert code == 0
-    assert parse_qubo(out) == build_mvc_qubo(g)
+    assert Qubo(**parse_qubo(out)) == build_mvc_qubo(g)
 
 
 def test_decompose_manifest_closure(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_solve_matches_oracle_across_configs():
         (LOWER_METHODS, True),
         (frozenset({"coloring"}), False),
     ]
-    reductions = [(), ("neighbor",), ("dominance",), ("neighbor", "dominance")]
+    reductions = [(), ("neighbor",)]
     for strat, (lower, clique), reds in itertools.product(strategies, bound_cfgs, reductions):
         cfg = SolveConfig(
             leaf_size=5,
@@ -211,7 +211,7 @@ def test_pruning_preserves_optimum():
         bare = solve(g, SolveConfig(leaf_size=4, lower_bounds=(), reductions=(), seed=seed))
         tuned = solve(g, SolveConfig(leaf_size=4, lower_bounds=LOWER_METHODS,
                                      clique_upper_bound=True,
-                                     reductions=("neighbor", "dominance"), seed=seed))
+                                     reductions=("neighbor",), seed=seed))
         assert bare.size == tuned.size
 
 
@@ -257,7 +257,7 @@ def test_decompose_only_leaves_drop_their_caches(monkeypatch):
 def test_decompose_only_leaves_hold_no_levels():
     # split and the reduction carry Subproblem.levels to the nodes they make;
     # kept leaves must still hold none, or a long leaf list keeps a dict per leaf
-    for chain in ((), ("neighbor",), ("dominance",), ("neighbor", "dominance")):
+    for chain in ((), ("neighbor",)):
         cfg = SolveConfig(leaf_size=28, reductions=chain, seed=3)
         dec = decompose_only(random_graph(64, 0.25, seed=3), cfg)
         assert dec.leaf_count > 1
@@ -309,6 +309,8 @@ def test_config_validation():
         SolveConfig(leaf_solver="qubo_exhaustive")
     with pytest.raises(ValueError):
         SolveConfig(reductions=("qpbo",))
+    with pytest.raises(ValueError):
+        SolveConfig(reductions=("dominance",))
 
 
 @pytest.mark.parametrize("field, value", [

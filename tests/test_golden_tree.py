@@ -1,7 +1,7 @@
 """The search tree is part of the solver's contract.
 
 ``golden_tree.json`` holds, for a few fixed graphs under every selection
-strategy, three reduction chains and two bound configurations, the cover,
+strategy, both reduction chains and two bound configurations, the cover,
 leaf count, generated and pruned counts and per-depth stats of ``solve``,
 and the same with the incumbent cover for ``decompose_only``; it also holds
 the covers ``exact_leaf_solve`` returns on fixed random graphs, which
@@ -47,7 +47,7 @@ GRAPHS = {
     # with the colouring bound's conflicts
     "dense-n56": (lambda: random_graph(56, 0.3, seed=3), 24),
 }
-CHAINS = ((), ("neighbor",), ("neighbor", "dominance"))
+CHAINS = ((), ("neighbor",))
 BOUNDS = {"default": {}, "all": {"lower_bounds": LOWER_METHODS, "clique_upper_bound": True}}
 
 

@@ -4,10 +4,12 @@ import ast
 from pathlib import Path
 
 import vertexcover
+from vertexcover import engine
 from vertexcover.splitting import Subproblem
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = Path(vertexcover.__file__).resolve().parent
+SPANS = TESTS.parent / "perfbench" / "spans.py"
 
 PUBLIC = {
     "solve", "decompose_only", "SolveConfig", "SolveResult", "DecomposeResult",
@@ -17,6 +19,7 @@ PUBLIC = {
 }
 REFERENCE_ONLY = {
     "brute_force_oracle", "induced_subgraph", "ORACLE_CAP", "solve_exhaustive", "EXHAUSTIVE_CAP",
+    "parse_qubo",
 }
 
 
@@ -53,3 +56,21 @@ def test_package_holds_no_reference_view():
 
 def test_reference_module_imports_only_the_graph_layer():
     assert vertexcover_imports(TESTS / "reference.py") == {"vertexcover.graphs"}
+
+
+def test_tracer_engine_targets_name_engine_attributes():
+    """The benchmark's tracer wraps engine functions by name; a rename must
+    fail here, not only in a traced full-size run. spans.py is read, not run."""
+    tree = ast.parse(SPANS.read_text())
+    targets = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    attrs = [
+        entry.elts[1].value for entry in targets.elts
+        if entry.elts[0].value == "engine"
+    ]
+    assert "reduce_chain" in attrs and "combine_bounds" in attrs
+    missing = [attr for attr in attrs if not hasattr(engine, attr)]
+    assert not missing, missing

@@ -11,11 +11,10 @@ from vertexcover.qubo import (
     decode_cover,
     evaluate,
     export_qubo,
-    parse_qubo,
     solve_anneal,
 )
 
-from reference import brute_force_oracle, solve_exhaustive
+from reference import brute_force_oracle, parse_qubo, solve_exhaustive
 from conftest import complete_graph, empty_graph
 
 
@@ -250,7 +249,7 @@ def test_export_round_trip_bit_exact():
     for seed in range(10):
         g = random_graph(3 + 2 * seed, 0.4, seed=seed)
         q = build_mvc_qubo(g, penalty_a=2.25, size_b=1.125)
-        assert parse_qubo(export_qubo(q)) == q
+        assert Qubo(**parse_qubo(export_qubo(q))) == q
 
 
 @pytest.mark.parametrize("text, message", [

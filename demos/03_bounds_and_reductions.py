@@ -14,6 +14,7 @@ from vertexcover.bounds import (
     ub_greedy_clique,
 )
 from vertexcover.engine import exact_leaf_solve
+from vertexcover.graphs import bits
 from vertexcover.reductions import reduce_chain
 from vertexcover.splitting import Subproblem
 
@@ -37,7 +38,7 @@ spine = [(i, i + 1) for i in range(4)]
 legs = [(i, 5 + i) for i in range(5)]
 caterpillar = build_graph(10, spine + legs)
 out = reduce_chain(Subproblem.root(caterpillar), ["neighbor"])
-print("caterpillar: committed", sorted(out.reduced.committed),
+print("caterpillar: committed", bits(out.reduced.committed),
       "residual size", out.reduced.n,
       "| optimum", len(exact_leaf_solve(caterpillar)))
 

@@ -10,13 +10,13 @@ search.
 
 Every bound takes a Graph or a Subproblem alike: it reads only
 ``adjacency``, the ``alive`` vertex mask, ``levels`` (the mask of the
-vertices of each degree) and ``n``, and any vertex ids it returns are those
-of what it was given. A subproblem's complement neighbourhood of v is
-``alive & ~masks[v]`` less v itself, so no complement graph is built, and
-no bound builds a Graph.
+vertices of each degree) and ``n``, and any vertex mask it returns is over
+the ids of what it was given. A subproblem's complement neighbourhood of v
+is ``alive & ~masks[v]`` less v itself, so no complement graph is built,
+and no bound builds a Graph.
 
-Both upper bounds come with a witness cover that attains them. The solver
-offers each node's ``greedy_clique`` cover with ``clique_upper_bound`` set.
+Both upper bounds return the mask of a witness cover that attains them. The
+solver offers each node's ``greedy_clique`` cover with ``clique_upper_bound`` set.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def lb_coloring(g, limit: int | None = None) -> int:
     return bound + _disjoint_conflicts(masks, classes, units, want)
 
 
-def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
+def ub_greedy_clique(g) -> tuple[int, int]:
     """Cover from a greedy maximal clique of the complement.
 
     The clique is an independent set of g, so everything outside it is a
@@ -211,7 +211,7 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
     have no neighbour in the clique. The walk visits only those that join:
     each level starts without the clique's neighbours, and a vertex that
     joins drops its own neighbours from the rest, so the lowest vertex left
-    is always the next to join. Returns (cover size, cover).
+    is always the next to join. Returns (cover size, cover mask).
     """
     masks, levels = g.adjacency, g.levels
     clique = blocked = 0  # the clique, and its members' neighbours
@@ -222,8 +222,8 @@ def ub_greedy_clique(g) -> tuple[int, frozenset[int]]:
             clique |= low
             blocked |= masks[low.bit_length() - 1]
             members &= ~(blocked | low)
-    cover = frozenset(bits(g.alive & ~clique))
-    return len(cover), cover
+    cover = g.alive & ~clique
+    return cover.bit_count(), cover
 
 
 def _lowest_swap(masks, indep: int, tight: int) -> int:
@@ -244,7 +244,7 @@ def _lowest_swap(masks, indep: int, tight: int) -> int:
     return 0
 
 
-def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
+def ub_local_search(g, seed: int) -> tuple[int, int]:
     """Cover from an iterated (1,2)-swap search (Andrade, Resende & Werneck 2012).
 
     From the set ``ub_greedy_clique``'s cover leaves, a vertex with no
@@ -273,7 +273,7 @@ def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
                 return indep
             indep ^= move
 
-    best = current = local_optimum(alive & ~sum(1 << v for v in ub_greedy_clique(g)[1]))
+    best = current = local_optimum(alive & ~ub_greedy_clique(g)[1])
     rng = random.Random(seed)
     for _ in range(2 * g.n if current != alive else 0):
         outside = alive & ~current
@@ -283,8 +283,8 @@ def ub_local_search(g, seed: int) -> tuple[int, frozenset[int]]:
         trial = local_optimum((current & ~masks[v]) | 1 << v)
         current = max(trial, current, key=int.bit_count)  # the trial on a tie
         best = max(best, current, key=int.bit_count)
-    cover = frozenset(bits(alive & ~best))
-    return len(cover), cover
+    cover = alive & ~best
+    return cover.bit_count(), cover
 
 
 def combine_bounds(g: Graph | Subproblem, names, limit: int | None = None) -> int:

@@ -22,7 +22,9 @@ from .engine import (
     decompose_only,
     solve,
 )
-from .graphs import GraphParseError, parse_graph, random_graph, random_graph_avg_degree, serialize_graph
+from .graphs import (
+    GraphParseError, bits, parse_graph, random_graph, random_graph_avg_degree, serialize_graph
+)
 from .qubo import build_mvc_qubo, export_qubo
 
 EXIT_OK = 0
@@ -313,8 +315,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 "id": i,
                 "file": name,
                 "n": leaf.n,
-                "committed_count": len(leaf.committed),
-                "committed": sorted(leaf.committed),
+                "committed_count": leaf.committed.bit_count(),
+                "committed": bits(leaf.committed),
                 "mapping": leaf.vertices(),
             })
         (out_dir / "manifest.json").write_text(json.dumps(manifest))

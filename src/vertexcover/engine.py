@@ -5,12 +5,13 @@ cover" child explored first. That child shrinks by one vertex per level, so
 a leaf is reached quickly and its completed cover becomes the incumbent that
 prunes the rest of the tree.
 
-Every node is a ``Subproblem``: a bitmask of live vertices over the input
-graph's fixed adjacency masks. Reducing, bounding, selecting, splitting and
-both leaf solvers work on that mask: the exact leaf search directly, and a
-QUBO leaf through ``build_mvc_qubo`` and ``decode_cover``, whose variable i
-is the leaf's vertex ``vertices()[i]``. No node builds a standalone
-``Graph``, and every leaf cover comes back in input-graph ids.
+Every node is a ``Subproblem``: masks of its live and committed vertices
+over the input graph's fixed adjacency masks. Reducing, bounding,
+selecting, splitting and both leaf solvers work on the live mask: the exact
+leaf search directly, and a QUBO leaf through ``build_mvc_qubo`` and
+``decode_cover``, whose variable i is the leaf's vertex ``vertices()[i]``.
+No node builds a ``Graph``. Leaf covers, in input-graph ids, and the
+incumbent are masks too, until ``solve`` and ``decompose_only`` return.
 
 There is one search loop, ``_search``. Each node is reduced, then bounded,
 and only then made a leaf or split. It is pruned when its committed vertices
@@ -214,36 +215,36 @@ class _Stats:
 
 def _search(stack, cfg: SolveConfig, leaf_size: int, size: int, best, leaf, stats):
     """Depth-first search of the open nodes on ``stack``, the last on top, for
-    a cover smaller than ``size``; ``best`` is a cover of that size, or
-    ``None`` when ``size`` is only a cutoff.
+    a cover smaller than ``size``; ``best`` is the mask of a cover of that
+    size, or ``None`` when ``size`` is only a cutoff.
 
     Each node is reduced by ``cfg.reductions``, then pruned when its committed
     vertices plus the best of ``cfg.lower_bounds`` reach ``size``. A node left
     with at most ``leaf_size`` vertices goes to ``leaf(node, size)``, which
-    returns a cover of the whole graph or ``None``. Any other node offers its
-    greedy-clique cover when ``cfg.clique_upper_bound`` is set, then splits
-    (``_open``). A cover replaces the incumbent only when it is smaller.
-    Returns the final incumbent.
+    returns the mask of a cover of the whole graph or ``None``. Any other node
+    offers its greedy-clique cover when ``cfg.clique_upper_bound`` is set, then
+    splits (``_open``). A cover replaces the incumbent only when it is smaller.
+    Returns the final incumbent's mask.
     """
     while stack:
         node = stack.pop()
         if cfg.reductions:
             node = reduce_chain(node, cfg.reductions).reduced
 
-        need = size - len(node.committed)
+        need = size - node.committed.bit_count()
         if combine_bounds(node, cfg.lower_bounds, need) >= need:
             stats.pruned[node.depth] += 1
             continue
 
         if node.n <= leaf_size:
             cover = leaf(node, size)
-            if cover is not None and len(cover) < size:
-                size, best = len(cover), cover
+            if cover is not None and cover.bit_count() < size:
+                size, best = cover.bit_count(), cover
             continue
         if cfg.clique_upper_bound:
             offer, cover = ub_greedy_clique(node)
-            offer += len(node.committed)
-            if offer < size:  # the union is built only for a cover that wins
+            offer += node.committed.bit_count()
+            if offer < size:
                 size, best = offer, node.committed | cover
         stack += _open(node, cfg, stats)
     return best
@@ -290,27 +291,26 @@ def exact_leaf_solve(g: Graph | Subproblem, limit: int | None = None) -> set[int
             RuntimeWarning,
             stacklevel=2,
         )
-    root = Subproblem(g.base if isinstance(g, Subproblem) else g, g.alive)
-    object.__setattr__(root, "levels", g.levels)
+    root = Subproblem.root(g)
     size, best = ub_greedy_clique(root)
     if limit is not None and limit <= size:
         size, best = limit, None
     elif combine_bounds(root, _EXACT_LEAF.lower_bounds, size) >= size:
-        return set(best)
+        return set(bits(best))
     stats = _Stats()
     stack = list(_open(root, _EXACT_LEAF, stats)) if root.n else []
     best = _search(stack, _EXACT_LEAF, 0, size, best, lambda node, _: node.committed, stats)
-    return None if best is None else set(best)
+    return None if best is None else set(bits(best))
 
 
 def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, best_size: int, stats: _Stats):
-    """Solve one leaf, returning its cover with the committed vertices, or ``None``
-    where the exact solver finds none smaller than ``best_size``; only the leaf
-    solver's own call counts as leaf time."""
+    """Solve one leaf, returning the mask of its cover with the committed
+    vertices, or ``None`` where the exact solver finds none smaller than
+    ``best_size``; only the leaf solver's own call counts as leaf time."""
     t0 = time.perf_counter()
     try:
         if cfg.leaf_solver == "exact":
-            cover = exact_leaf_solve(node, best_size - len(node.committed))
+            cover = exact_leaf_solve(node, best_size - node.committed.bit_count())
         else:
             seed = node_key(cfg.seed, node.path)
             q = build_mvc_qubo(node)
@@ -322,7 +322,7 @@ def _dispatch_leaf(node: Subproblem, cfg: SolveConfig, best_size: int, stats: _S
             f"(path={node.path:#b}, n={node.n}): {exc}"
         ) from exc
     stats.merge_leaf(node.depth, node.n, time.perf_counter() - t0)
-    return None if cover is None else node.committed | cover
+    return None if cover is None else node.committed | sum(1 << v for v in cover)
 
 
 def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
@@ -342,7 +342,7 @@ def _run(g: Graph, cfg: SolveConfig, dispatch: bool):
     stats.generated[0] += 1
     best = _search([Subproblem.root(g)], cfg, cfg.leaf_size, size, best, leaf, stats)
     preprocessing = time.perf_counter() - t_start - stats.leaf_seconds
-    return best, stats, preprocessing, leaves
+    return frozenset(bits(best)), stats, preprocessing, leaves
 
 
 def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveResult:

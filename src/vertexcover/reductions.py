@@ -44,7 +44,7 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
     """
     masks = s.adjacency
     levels = s.levels
-    committed: set[int] = set()
+    committed = 0  # the mask of the vertices it commits
     alive = s.alive
     while True:
         if 0 in levels:
@@ -53,7 +53,7 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
             pendants = levels[1]
             pendant = (pendants & -pendants).bit_length() - 1
             nbr = masks[pendant] & alive
-            committed.add(nbr.bit_length() - 1)
+            committed |= nbr
             gone = nbr | (1 << pendant)
         else:
             degree_two = levels.get(2, 0)
@@ -69,7 +69,7 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
                     c = u
                 else:
                     continue
-                committed |= {c, a}
+                committed |= 1 << c | 1 << a
                 gone = nbrs | (1 << a)
                 break
             else:
@@ -77,7 +77,7 @@ def reduce_neighbor(s: Subproblem) -> ReductionOutcome:
                     return ReductionOutcome(s, 0, 0)
                 reduced = Subproblem(s.base, alive, s.committed | committed, s.path)
                 object.__setattr__(reduced, "levels", levels)
-                return ReductionOutcome(reduced, s.n - reduced.n, len(committed))
+                return ReductionOutcome(reduced, s.n - reduced.n, committed.bit_count())
         alive &= ~gone
         touched = 0
         for v in bits(gone):

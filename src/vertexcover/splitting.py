@@ -33,8 +33,8 @@ class Subproblem:
     ``alive`` is a bitmask over ``base``'s vertex ids, and every vertex id a
     subproblem hands out or takes is a ``base`` id. Degrees come from
     ``base``'s fixed adjacency masks restricted to ``alive``, so deleting
-    vertices builds no graph. ``committed`` holds ids already decided to be
-    in the cover; they are never alive. ``serialize_graph``,
+    vertices builds no graph. ``committed`` is the mask of the ids already
+    decided to be in the cover; they are never alive. ``serialize_graph``,
     ``build_mvc_qubo`` and ``decode_cover`` read a subproblem's masks as they
     read a graph's, numbering its vertices 0..n-1 so that i is
     ``vertices()[i]``.
@@ -46,12 +46,13 @@ class Subproblem:
 
     base: Graph
     alive: int
-    committed: frozenset[int] = frozenset()
+    committed: int = 0
     path: int = 1
 
     @classmethod
-    def root(cls, g: Graph) -> "Subproblem":
-        root = cls(base=g, alive=g.alive)
+    def root(cls, g: "Graph | Subproblem") -> "Subproblem":
+        """The root over a Graph's vertices or a Subproblem's alive ones, taking their levels."""
+        root = cls(base=getattr(g, "base", g), alive=g.alive)
         object.__setattr__(root, "levels", g.levels)
         return root
 
@@ -140,12 +141,9 @@ def split(s: Subproblem, v: int) -> tuple[Subproblem, Subproblem]:
         raise ValueError(f"vertex {v} not in the residual graph")
     vbit = 1 << v
     neighbors = s.base.adjacency[v] & s.alive
-    s_plus = Subproblem(s.base, s.alive & ~vbit, s.committed | {v}, 2 * s.path)
+    s_plus = Subproblem(s.base, s.alive & ~vbit, s.committed | vbit, 2 * s.path)
     s_minus = Subproblem(
-        s.base,
-        s.alive & ~(neighbors | vbit),
-        s.committed.union(bits(neighbors)),
-        2 * s.path + 1,
+        s.base, s.alive & ~(neighbors | vbit), s.committed | neighbors, 2 * s.path + 1
     )
     if "levels" in s.__dict__:
         levels: dict[int, int] = {}

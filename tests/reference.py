@@ -429,9 +429,9 @@ def level_scan_coloring(g, limit: int | None = None) -> int:
     return bound + _unit_conflicts(masks, classes, units, want)
 
 
-def plain_greedy_clique(g) -> tuple[int, frozenset[int]]:
-    """``ub_greedy_clique``'s (cover size, cover) by a plain walk over every
-    alive vertex in ascending (degree, id) order of recounted degrees: a
+def plain_greedy_clique(g) -> tuple[int, int]:
+    """``ub_greedy_clique``'s (cover size, cover mask) by a plain walk over
+    every alive vertex in ascending (degree, id) order of recounted degrees: a
     vertex joins the clique when it has no neighbour in it, and the cover is
     every alive vertex left out."""
     masks, degrees = g.adjacency, residual_degrees(g)
@@ -439,5 +439,5 @@ def plain_greedy_clique(g) -> tuple[int, frozenset[int]]:
     for v in sorted(degrees, key=lambda v: (degrees[v], v)):
         if not clique & masks[v]:
             clique |= 1 << v
-    cover = frozenset(bits(g.alive & ~clique))
-    return len(cover), cover
+    cover = g.alive & ~clique
+    return cover.bit_count(), cover

@@ -23,6 +23,7 @@ from vertexcover.bounds import (
     lb_lp,
     ub_greedy_clique,
 )
+from vertexcover.graphs import bits
 from vertexcover.qubo import build_mvc_qubo, decode_cover
 from vertexcover.reductions import reduce_chain
 from vertexcover.splitting import Subproblem, split
@@ -115,8 +116,8 @@ def test_criterion_3_bound_sandwich(corpus_n24):
         lower = max(lb_lp(g), lb_coloring(g))
         upper, witness = ub_greedy_clique(g)
         assert lower <= oracle <= upper
-        assert is_vertex_cover(g, witness)
-        assert len(witness) == upper
+        assert is_vertex_cover(g, bits(witness))
+        assert witness.bit_count() == upper
     print(f"\nCRITERION 3 PASS: bound sandwich held on {len(corpus_n24)} graphs "
           f"with zero violations")
 
@@ -143,7 +144,7 @@ def test_criterion_5_reduction_soundness(corpus_n20):
     for g, oracle in corpus_n20:
         for chain in REDUCTION_CHAINS:
             out = reduce_chain(Subproblem.root(g), list(chain))
-            total = len(out.reduced.committed) + brute_force_oracle(
+            total = out.reduced.committed.bit_count() + brute_force_oracle(
                 residual_graph(out.reduced))
             assert total == oracle, (chain, total, oracle)
             checked += 1

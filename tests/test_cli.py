@@ -280,6 +280,12 @@ def test_decompose_manifest_closure(tmp_path, capsys):
         # vertices plus its mapped leaf cover is a cover of the input
         covers = [manifest["incumbent_cover"]]
         for leaf in manifest["leaves"]:
+            # committed: ascending input ids, none of them a leaf-file vertex
+            committed = leaf["committed"]
+            assert all(type(v) is int for v in committed)
+            assert committed == sorted(set(committed))
+            assert not set(committed) & set(leaf["mapping"])
+            assert leaf["committed_count"] == len(committed)
             leaf_graph = parse_graph((out_dir / leaf["file"]).read_text(), "dimacs")
             assert leaf_graph.n <= leaf_size
             leaves_with_edges += leaf_graph.m > 0

@@ -242,7 +242,7 @@ def test_decompose_only_whole_graph_is_single_leaf():
     dec = decompose_only(g, cfg)
     assert dec.leaf_count == 1
     assert residual_graph(dec.leaves[0]).adjacency == g.adjacency
-    assert dec.leaves[0].committed == frozenset()
+    assert dec.leaves[0].committed == 0
 
 
 def test_decompose_only_leaves_drop_their_caches(monkeypatch):
@@ -268,7 +268,7 @@ def test_decompose_only_triangle_recovers_optimum():
     dec = decompose_only(complete_graph(3), SolveConfig(leaf_size=1))
     candidates = [dec.incumbent_size]
     candidates += [
-        len(leaf.committed) + brute_force_oracle(residual_graph(leaf))
+        leaf.committed.bit_count() + brute_force_oracle(residual_graph(leaf))
         for leaf in dec.leaves
     ]
     assert min(candidates) == 2
@@ -283,7 +283,7 @@ def test_decompose_only_leaf_minimum_equals_oracle():
         dec = decompose_only(g, SolveConfig(leaf_size=5, seed=seed))
         assert is_vertex_cover(g, dec.incumbent_cover)
         best = min([dec.incumbent_size] + [
-            len(leaf.committed) + brute_force_oracle(residual_graph(leaf))
+            leaf.committed.bit_count() + brute_force_oracle(residual_graph(leaf))
             for leaf in dec.leaves
         ])
         assert best == oracle

@@ -104,11 +104,11 @@ def test_decompose_only_offline_completion_matches_oracle(g, cfg):
     sizes = [dec.incumbent_size]
     for leaf in dec.leaves:
         ids = leaf.vertices()
-        assert not leaf.committed & set(ids)
+        assert not leaf.committed & leaf.alive
         leaf_cover = exact_leaf_solve(residual_graph(leaf))
-        completion = leaf.committed | {ids[v] for v in leaf_cover}
+        completion = set(bits(leaf.committed)) | {ids[v] for v in leaf_cover}
         assert is_vertex_cover(g, completion)
-        sizes.append(len(leaf.committed) + brute_force_oracle(residual_graph(leaf)))
+        sizes.append(leaf.committed.bit_count() + brute_force_oracle(residual_graph(leaf)))
     assert is_vertex_cover(g, dec.incumbent_cover)
     assert min(sizes) == brute_force_oracle(g)
 
@@ -136,9 +136,9 @@ def test_ub_local_search_is_a_seeded_cover_between_optimum_and_greedy(g, keep, s
     for instance in (g, Subproblem(base=g, alive=g.alive & keep)):
         size, cover = ub_local_search(instance, seed)
         ids = instance.vertices()
-        assert size == len(cover) and cover <= set(ids)
+        assert size == cover.bit_count() and not cover & ~instance.alive
         residual = residual_graph(Subproblem(base=g, alive=instance.alive))
-        assert is_vertex_cover(residual, {ids.index(v) for v in cover})
+        assert is_vertex_cover(residual, {ids.index(v) for v in bits(cover)})
         assert brute_force_oracle(residual) <= size <= ub_greedy_clique(instance)[0]
         assert ub_local_search(instance, seed) == (size, cover)
 
@@ -266,8 +266,9 @@ def test_lb_lp_limit_decides_like_the_full_bound(g, keep):
 
 
 def recount_reduce_neighbor(s):
-    """Reference: the same rules with every degree recounted on each pass."""
-    masks, alive, committed = s.adjacency, s.alive, set()
+    """Reference: the same rules with every degree recounted on each pass; the
+    commits come back as a mask."""
+    masks, alive, committed = s.adjacency, s.alive, 0
     while True:
         degree = {v: (masks[v] & alive).bit_count() for v in bits(alive)}
         isolated = sum(1 << v for v, d in degree.items() if d == 0)
@@ -277,13 +278,13 @@ def recount_reduce_neighbor(s):
             continue
         if pendants:
             nbr = masks[pendants[0]] & alive
-            committed.add(nbr.bit_length() - 1)
+            committed |= 1 << (nbr.bit_length() - 1)
             alive &= ~(nbr | 1 << pendants[0])
             continue
         for a in (v for v, d in degree.items() if d == 2):
             u, w = bits(masks[a] & alive)
             if (masks[u] >> w) & 1 and 2 in (degree[u], degree[w]):
-                committed |= {w if degree[u] == 2 else u, a}
+                committed |= 1 << (w if degree[u] == 2 else u) | 1 << a
                 alive &= ~(1 << a | 1 << u | 1 << w)
                 break
         else:
@@ -318,7 +319,7 @@ def test_reduce_chain_hands_on_fresh_levels_and_matches_a_recount(g, keep):
             ref_alive, ref_committed = recount_reduce_chain(s, chain)
             assert (alive, reduced.committed) == (ref_alive, ref_committed), chain
             assert out.removed_vertices == s.n - alive.bit_count(), chain
-            assert out.cover_contribution == len(ref_committed - s.committed), chain
+            assert out.cover_contribution == (ref_committed & ~s.committed).bit_count(), chain
 
 
 @settings(max_examples=100, deadline=None)

@@ -55,9 +55,9 @@ def test_split_triangle():
     s = Subproblem.root(complete_graph(3))
     s_plus, s_minus = split(s, 0)
     assert residual_graph(s_plus).n == 2 and residual_graph(s_plus).m == 1
-    assert s_plus.committed == {0}
+    assert s_plus.committed == 0b001
     assert residual_graph(s_minus).n == 0
-    assert s_minus.committed == {1, 2}
+    assert s_minus.committed == 0b110
     assert s_plus.depth == s_minus.depth == 1
 
 
@@ -86,19 +86,19 @@ def test_split_star_center():
     star = star_graph(4)
     s_plus, s_minus = split(Subproblem.root(star), 0)
     assert residual_graph(s_plus).n == 4 and residual_graph(s_plus).m == 0
-    assert s_plus.committed == {0}
+    assert s_plus.committed == 0b00001
     assert residual_graph(s_minus).n == 0
-    assert s_minus.committed == {1, 2, 3, 4}
-    best = min(len(s_plus.committed) + brute_force_oracle(residual_graph(s_plus)),
-               len(s_minus.committed) + brute_force_oracle(residual_graph(s_minus)))
+    assert s_minus.committed == 0b11110
+    best = min(s_plus.committed.bit_count() + brute_force_oracle(residual_graph(s_plus)),
+               s_minus.committed.bit_count() + brute_force_oracle(residual_graph(s_minus)))
     assert best == brute_force_oracle(star) == 1
 
 
 def test_split_isolated_vertex():
     g = random_graph(5, 0.0, seed=0)
     s_plus, s_minus = split(Subproblem.root(g), 2)
-    assert s_plus.committed == {2}
-    assert s_minus.committed == set()
+    assert s_plus.committed == 1 << 2
+    assert s_minus.committed == 0
     assert residual_graph(s_plus).n == residual_graph(s_minus).n == 4
 
 
@@ -132,15 +132,15 @@ def test_split_shrinks_both_children():
 def test_split_bookkeeping_monotone_and_disjoint():
     g = random_graph(12, 0.3, seed=5)
     node = Subproblem.root(g)
-    seen = set()
+    seen = 0
     while residual_graph(node).n > 0:
         v = select_vertex(node, "highest_degree", 3)
         s_plus, s_minus = split(node, v)
         for child in (s_plus, s_minus):
-            increment = child.committed - node.committed
-            assert node.committed <= child.committed
+            increment = child.committed & ~node.committed
+            assert not node.committed & ~child.committed
             assert not (increment & seen)
-        seen |= s_plus.committed - node.committed
+        seen |= s_plus.committed & ~node.committed
         node = s_plus
     # committed vertices never reappear in the residual
-    assert not (node.committed & set(node.vertices()))
+    assert not (node.committed & node.alive)
